@@ -11,26 +11,51 @@ exception Parse_error of string
 
 (* ------------------------------ printer ------------------------------ *)
 
-let add_escaped b s =
+(* Whether [s] from [i] on needs no escaping. *)
+let rec plain s i =
+  i >= String.length s
+  ||
+  let c = String.unsafe_get s i in
+  c <> '"' && c <> '\\' && c >= ' ' && plain s (i + 1)
+
+let add_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\b' -> Buffer.add_string b "\\b"
-      | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  if plain s 0 then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\b' -> Buffer.add_string b "\\b"
+        | '\012' -> Buffer.add_string b "\\f"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
   Buffer.add_char b '"'
 
-let float_repr f =
-  if not (Float.is_finite f) then "null"
+let digit b d = Buffer.add_char b (Char.unsafe_chr (48 + d))
+
+(* The digits of non-negative [n], zero-padded to at least [width];
+   at most 19 frames deep. *)
+let rec add_digits b n width =
+  if n >= 10 || width > 1 then add_digits b (n / 10) (width - 1);
+  digit b (n mod 10)
+
+let add_int b n =
+  if n >= 0 then add_digits b n 1
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n) 1
+  end
+
+let add_float_printf b f =
+  if not (Float.is_finite f) then Buffer.add_string b "null"
     (* non-finite values have no JSON spelling; degrade to null *)
   else begin
     let s = Printf.sprintf "%.6f" f in
@@ -40,16 +65,43 @@ let float_repr f =
     while !stop > 1 && s.[!stop - 1] = '0' && s.[!stop - 2] <> '.' do
       decr stop
     done;
-    String.sub s 0 !stop
+    Buffer.add_substring b s 0 !stop
+  end
+
+(* Byte-for-byte the output of [add_float_printf], without its
+   allocations, whenever that output is easy to get right: [f] is
+   non-negative and below 1e6, so [f * 1e6] rounds to an integer [r] of
+   at most 13 digits, and the exact product (the [fma] residual) is not
+   within 0.001 of a rounding tie, so [r] is what "%.6f" prints.  Ties,
+   negatives, large and non-finite values take the [Printf] path. *)
+let add_float b f =
+  if Float.sign_bit f || not (f < 1e6) then add_float_printf b f
+  else begin
+    let r = Float.round (f *. 1e6) in
+    if Float.abs (Float.fma f 1e6 (-.r)) >= 0.499 then add_float_printf b f
+    else begin
+      let n = int_of_float r in
+      add_digits b (n / 1_000_000) 1;
+      Buffer.add_char b '.';
+      let frac = ref (n mod 1_000_000) and width = ref 6 in
+      if !frac = 0 then Buffer.add_char b '0'
+      else begin
+        while !frac mod 10 = 0 do
+          frac := !frac / 10;
+          decr width
+        done;
+        add_digits b !frac !width
+      end
+    end
   end
 
 let rec to_buffer b = function
   | Null -> Buffer.add_string b "null"
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
-  | Int n -> Buffer.add_string b (string_of_int n)
-  | Float f -> Buffer.add_string b (float_repr f)
-  | String s -> add_escaped b s
+  | Int n -> add_int b n
+  | Float f -> add_float b f
+  | String s -> add_string b s
   | List items ->
       Buffer.add_char b '[';
       List.iteri
@@ -63,7 +115,7 @@ let rec to_buffer b = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          add_escaped b k;
+          add_string b k;
           Buffer.add_char b ':';
           to_buffer b v)
         fields;

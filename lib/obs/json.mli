@@ -25,6 +25,19 @@ exception Parse_error of string
 val to_string : t -> string
 val to_buffer : Buffer.t -> t -> unit
 
+(** {2 Scalar writers} — the printer's own pieces, for encoders that
+    write a known shape straight into a buffer without building a {!t}.
+    Each appends exactly what {!to_buffer} appends for the same scalar. *)
+
+val add_string : Buffer.t -> string -> unit
+(** A quoted, escaped string; copied verbatim when nothing needs
+    escaping. *)
+
+val add_int : Buffer.t -> int -> unit
+
+val add_float : Buffer.t -> float -> unit
+(** The canonical float; ["null"] for nan and infinities. *)
+
 val of_string : string -> t
 (** Parse one JSON value; trailing input (other than whitespace) is an
     error.  Numbers without ['.'], ['e'] or ['E'] parse as {!Int}.

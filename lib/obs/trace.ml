@@ -74,188 +74,223 @@ type record = { i : int; w : int; ts : float; ev : event }
 
 (* ------------------------------- codec ------------------------------- *)
 
-let opt_int = function None -> Json.Null | Some n -> Json.Int n
-let opt_float = function None -> Json.Null | Some f -> Json.Float f
+(* The one record encoder: events are written straight into a buffer,
+   field by field, with constant pre-escaped keys, in the byte layout
+   [Json.to_string] would give the equivalent object. *)
 
-let event_fields = function
+let lit b s = Buffer.add_string b s
+
+let str b k v =
+  lit b k;
+  Json.add_string b v
+
+let int b k n =
+  lit b k;
+  Json.add_int b n
+
+let flt b k f =
+  lit b k;
+  Json.add_float b f
+
+let bool b k v =
+  lit b k;
+  Buffer.add_string b (if v then "true" else "false")
+
+let null b k =
+  lit b k;
+  lit b "null"
+
+let opt_int b k = function None -> null b k | Some n -> int b k n
+let opt_flt b k = function None -> null b k | Some f -> flt b k f
+
+(* [{"i":..,"w":..,"ts":..] — the envelope up to the event tag. *)
+let add_envelope b ~i ~w ~ts =
+  int b {|{"i":|} i;
+  int b {|,"w":|} w;
+  flt b {|,"ts":|} ts
+
+(* [,"ev":"tag"], the event's fields, and the closing brace. *)
+let add_event b ev =
+  (match ev with
   | Trace_header { version; program } ->
-      ("trace_header", [ ("version", Json.Int version); ("program", Json.String program) ])
-  | Cell_start { key } -> ("cell_start", [ ("key", Json.String key) ])
-  | Cell_finish { key; status } ->
-      ("cell_finish", [ ("key", Json.String key); ("status", Json.String status) ])
-  | Checkpoint_flush { key; bytes } ->
-      ("checkpoint_flush", [ ("key", Json.String key); ("bytes", Json.Int bytes) ])
-  | Worker_start { index } -> ("worker_start", [ ("index", Json.Int index) ])
+      lit b {|,"ev":"trace_header"|};
+      int b {|,"version":|} version;
+      str b {|,"program":|} program
+  | Cell_start { key = k } ->
+      lit b {|,"ev":"cell_start"|};
+      str b {|,"key":|} k
+  | Cell_finish { key = k; status } ->
+      lit b {|,"ev":"cell_finish"|};
+      str b {|,"key":|} k;
+      str b {|,"status":|} status
+  | Checkpoint_flush { key = k; bytes } ->
+      lit b {|,"ev":"checkpoint_flush"|};
+      str b {|,"key":|} k;
+      int b {|,"bytes":|} bytes
+  | Worker_start { index } ->
+      lit b {|,"ev":"worker_start"|};
+      int b {|,"index":|} index
   | Worker_stop { index; tasks } ->
-      ("worker_stop", [ ("index", Json.Int index); ("tasks", Json.Int tasks) ])
+      lit b {|,"ev":"worker_stop"|};
+      int b {|,"index":|} index;
+      int b {|,"tasks":|} tasks
   | Game_start { adversary; algorithm; n; max_color_calls; max_work; deadline } ->
-      ( "game_start",
-        [
-          ("adversary", Json.String adversary);
-          ("algorithm", Json.String algorithm);
-          ("n", Json.Int n);
-          ("max_color_calls", opt_int max_color_calls);
-          ("max_work", opt_int max_work);
-          ("deadline", opt_float deadline);
-        ] )
+      lit b {|,"ev":"game_start"|};
+      str b {|,"adversary":|} adversary;
+      str b {|,"algorithm":|} algorithm;
+      int b {|,"n":|} n;
+      opt_int b {|,"max_color_calls":|} max_color_calls;
+      opt_int b {|,"max_work":|} max_work;
+      opt_flt b {|,"deadline":|} deadline
   | Game_verdict { adversary; algorithm; n; outcome; guaranteed; color_calls; work } ->
-      ( "game_verdict",
-        [
-          ("adversary", Json.String adversary);
-          ("algorithm", Json.String algorithm);
-          ("n", Json.Int n);
-          ("outcome", Json.String outcome);
-          ("guaranteed", Json.Bool guaranteed);
-          ("color_calls", Json.Int color_calls);
-          ("work", Json.Int work);
-        ] )
+      lit b {|,"ev":"game_verdict"|};
+      str b {|,"adversary":|} adversary;
+      str b {|,"algorithm":|} algorithm;
+      int b {|,"n":|} n;
+      str b {|,"outcome":|} outcome;
+      bool b {|,"guaranteed":|} guaranteed;
+      int b {|,"color_calls":|} color_calls;
+      int b {|,"work":|} work
   | Step { executor; step; target; revealed; max_view } ->
-      ( "step",
-        [
-          ("executor", Json.String executor);
-          ("step", Json.Int step);
-          ("target", Json.Int target);
-          ("revealed", Json.Int revealed);
-          ("max_view", Json.Int max_view);
-        ] )
+      lit b {|,"ev":"step"|};
+      str b {|,"executor":|} executor;
+      int b {|,"step":|} step;
+      int b {|,"target":|} target;
+      int b {|,"revealed":|} revealed;
+      int b {|,"max_view":|} max_view
   | Reveal { executor; step; fresh; revealed } ->
-      ( "reveal",
-        [
-          ("executor", Json.String executor);
-          ("step", Json.Int step);
-          ("fresh", Json.Int fresh);
-          ("revealed", Json.Int revealed);
-        ] )
+      lit b {|,"ev":"reveal"|};
+      str b {|,"executor":|} executor;
+      int b {|,"step":|} step;
+      int b {|,"fresh":|} fresh;
+      int b {|,"revealed":|} revealed
   | Color_call { calls; work } ->
-      ("color_call", [ ("calls", Json.Int calls); ("work", Json.Int work) ])
+      lit b {|,"ev":"color_call"|};
+      int b {|,"calls":|} calls;
+      int b {|,"work":|} work
   | Audit { executor; ok; detail } ->
-      ( "audit",
-        [
-          ("executor", Json.String executor);
-          ("ok", Json.Bool ok);
-          ("detail", Json.String detail);
-        ] )
+      lit b {|,"ev":"audit"|};
+      str b {|,"executor":|} executor;
+      bool b {|,"ok":|} ok;
+      str b {|,"detail":|} detail
   | Fault_injected { tag; call } ->
-      ("fault_injected", [ ("tag", Json.String tag); ("call", Json.Int call) ])
+      lit b {|,"ev":"fault_injected"|};
+      str b {|,"tag":|} tag;
+      int b {|,"call":|} call
   | Misbehavior { label; detail } ->
-      ("misbehavior", [ ("label", Json.String label); ("detail", Json.String detail) ])
-  | Child_spawn { key; pid; attempt } ->
-      ( "child_spawn",
-        [ ("key", Json.String key); ("pid", Json.Int pid); ("attempt", Json.Int attempt) ]
-      )
-  | Child_heartbeat { key; pid } ->
-      ("child_heartbeat", [ ("key", Json.String key); ("pid", Json.Int pid) ])
-  | Child_kill { key; pid; signal; elapsed } ->
-      ( "child_kill",
-        [
-          ("key", Json.String key);
-          ("pid", Json.Int pid);
-          ("signal", Json.String signal);
-          ("elapsed", Json.Float elapsed);
-        ] )
-  | Child_exit { key; pid; status; cpu_user; cpu_sys } ->
-      ( "child_exit",
-        [
-          ("key", Json.String key);
-          ("pid", Json.Int pid);
-          ("status", Json.String status);
-          ("cpu_user", Json.Float cpu_user);
-          ("cpu_sys", Json.Float cpu_sys);
-        ] )
-  | Cell_retry { key; attempt; delay } ->
-      ( "cell_retry",
-        [
-          ("key", Json.String key);
-          ("attempt", Json.Int attempt);
-          ("delay", Json.Float delay);
-        ] )
-  | Cell_quarantined { key; attempts; reason } ->
-      ( "cell_quarantined",
-        [
-          ("key", Json.String key);
-          ("attempts", Json.Int attempts);
-          ("reason", Json.String reason);
-        ] )
+      lit b {|,"ev":"misbehavior"|};
+      str b {|,"label":|} label;
+      str b {|,"detail":|} detail
+  | Child_spawn { key = k; pid; attempt } ->
+      lit b {|,"ev":"child_spawn"|};
+      str b {|,"key":|} k;
+      int b {|,"pid":|} pid;
+      int b {|,"attempt":|} attempt
+  | Child_heartbeat { key = k; pid } ->
+      lit b {|,"ev":"child_heartbeat"|};
+      str b {|,"key":|} k;
+      int b {|,"pid":|} pid
+  | Child_kill { key = k; pid; signal; elapsed } ->
+      lit b {|,"ev":"child_kill"|};
+      str b {|,"key":|} k;
+      int b {|,"pid":|} pid;
+      str b {|,"signal":|} signal;
+      flt b {|,"elapsed":|} elapsed
+  | Child_exit { key = k; pid; status; cpu_user; cpu_sys } ->
+      lit b {|,"ev":"child_exit"|};
+      str b {|,"key":|} k;
+      int b {|,"pid":|} pid;
+      str b {|,"status":|} status;
+      flt b {|,"cpu_user":|} cpu_user;
+      flt b {|,"cpu_sys":|} cpu_sys
+  | Cell_retry { key = k; attempt; delay } ->
+      lit b {|,"ev":"cell_retry"|};
+      str b {|,"key":|} k;
+      int b {|,"attempt":|} attempt;
+      flt b {|,"delay":|} delay
+  | Cell_quarantined { key = k; attempts; reason } ->
+      lit b {|,"ev":"cell_quarantined"|};
+      str b {|,"key":|} k;
+      int b {|,"attempts":|} attempts;
+      str b {|,"reason":|} reason
   | Server_start { socket; jobs; queue_limit } ->
-      ( "server_start",
-        [
-          ("socket", Json.String socket);
-          ("jobs", Json.Int jobs);
-          ("queue_limit", Json.Int queue_limit);
-        ] )
-  | Conn_open { conn } -> ("conn_open", [ ("conn", Json.Int conn) ])
+      lit b {|,"ev":"server_start"|};
+      str b {|,"socket":|} socket;
+      int b {|,"jobs":|} jobs;
+      int b {|,"queue_limit":|} queue_limit
+  | Conn_open { conn } ->
+      lit b {|,"ev":"conn_open"|};
+      int b {|,"conn":|} conn
   | Conn_close { conn; reason } ->
-      ("conn_close", [ ("conn", Json.Int conn); ("reason", Json.String reason) ])
+      lit b {|,"ev":"conn_close"|};
+      int b {|,"conn":|} conn;
+      str b {|,"reason":|} reason
   | Job_submit { id; kind; disposition } ->
-      ( "job_submit",
-        [
-          ("id", Json.String id);
-          ("kind", Json.String kind);
-          ("disposition", Json.String disposition);
-        ] )
+      lit b {|,"ev":"job_submit"|};
+      str b {|,"id":|} id;
+      str b {|,"kind":|} kind;
+      str b {|,"disposition":|} disposition
   | Job_reject { id; queued; limit } ->
-      ( "job_reject",
-        [ ("id", Json.String id); ("queued", Json.Int queued); ("limit", Json.Int limit) ]
-      )
+      lit b {|,"ev":"job_reject"|};
+      str b {|,"id":|} id;
+      int b {|,"queued":|} queued;
+      int b {|,"limit":|} limit
   | Job_start { id; attempt } ->
-      ("job_start", [ ("id", Json.String id); ("attempt", Json.Int attempt) ])
+      lit b {|,"ev":"job_start"|};
+      str b {|,"id":|} id;
+      int b {|,"attempt":|} attempt
   | Job_done { id; status } ->
-      ("job_done", [ ("id", Json.String id); ("status", Json.String status) ])
+      lit b {|,"ev":"job_done"|};
+      str b {|,"id":|} id;
+      str b {|,"status":|} status
   | Server_drain { queued; running } ->
-      ("server_drain", [ ("queued", Json.Int queued); ("running", Json.Int running) ])
-  | Chaos_injected { kind } -> ("chaos_injected", [ ("kind", Json.String kind) ])
-  | Canon_hit { kind; key } ->
-      ("canon_hit", [ ("kind", Json.String kind); ("key", Json.String key) ])
+      lit b {|,"ev":"server_drain"|};
+      int b {|,"queued":|} queued;
+      int b {|,"running":|} running
+  | Chaos_injected { kind } ->
+      lit b {|,"ev":"chaos_injected"|};
+      str b {|,"kind":|} kind
+  | Canon_hit { kind; key = k } ->
+      lit b {|,"ev":"canon_hit"|};
+      str b {|,"kind":|} kind;
+      str b {|,"key":|} k
   | Journal_corrupt { path; line; reason } ->
-      ( "journal_corrupt",
-        [
-          ("path", Json.String path);
-          ("line", Json.Int line);
-          ("reason", Json.String reason);
-        ] )
+      lit b {|,"ev":"journal_corrupt"|};
+      str b {|,"path":|} path;
+      int b {|,"line":|} line;
+      str b {|,"reason":|} reason
   | Fleet_start { endpoints; jobs; shard_seed } ->
-      ( "fleet_start",
-        [
-          ("endpoints", Json.Int endpoints);
-          ("jobs", Json.Int jobs);
-          ("shard_seed", Json.Int shard_seed);
-        ] )
+      lit b {|,"ev":"fleet_start"|};
+      int b {|,"endpoints":|} endpoints;
+      int b {|,"jobs":|} jobs;
+      int b {|,"shard_seed":|} shard_seed
   | Endpoint_state { endpoint; state } ->
-      ( "endpoint_state",
-        [ ("endpoint", Json.String endpoint); ("state", Json.String state) ] )
+      lit b {|,"ev":"endpoint_state"|};
+      str b {|,"endpoint":|} endpoint;
+      str b {|,"state":|} state
   | Failover { id; src; dst } ->
-      ( "failover",
-        [
-          ("id", Json.String id);
-          ("src", Json.String src);
-          ("dst", Json.String dst);
-        ] )
+      lit b {|,"ev":"failover"|};
+      str b {|,"id":|} id;
+      str b {|,"src":|} src;
+      str b {|,"dst":|} dst
   | Rebalance { moved; src; dst } ->
-      ( "rebalance",
-        [
-          ("moved", Json.Int moved);
-          ("src", Json.String src);
-          ("dst", Json.String dst);
-        ] )
+      lit b {|,"ev":"rebalance"|};
+      int b {|,"moved":|} moved;
+      str b {|,"src":|} src;
+      str b {|,"dst":|} dst
   | Fleet_verdict { verdict; results; failovers; duplicates } ->
-      ( "fleet_verdict",
-        [
-          ("verdict", Json.String verdict);
-          ("results", Json.Int results);
-          ("failovers", Json.Int failovers);
-          ("duplicates", Json.Int duplicates);
-        ] )
+      lit b {|,"ev":"fleet_verdict"|};
+      str b {|,"verdict":|} verdict;
+      int b {|,"results":|} results;
+      int b {|,"failovers":|} failovers;
+      int b {|,"duplicates":|} duplicates);
+  Buffer.add_char b '}'
 
-let record_to_json r =
-  let tag, fields = event_fields r.ev in
-  Json.Obj
-    (("i", Json.Int r.i)
-    :: ("w", Json.Int r.w)
-    :: ("ts", Json.Float r.ts)
-    :: ("ev", Json.String tag)
-    :: fields)
-
-let record_to_string r = Json.to_string (record_to_json r)
+let record_to_string r =
+  let b = Buffer.create 128 in
+  add_envelope b ~i:r.i ~w:r.w ~ts:r.ts;
+  add_event b r.ev;
+  Buffer.contents b
 
 let decode_error msg = raise (Json.Parse_error msg)
 
@@ -473,15 +508,28 @@ let read_file path =
   in
   List.mapi
     (fun idx line ->
+      let fail msg =
+        raise (Json.Parse_error (Printf.sprintf "%s:%d: %s" path (idx + 1) msg))
+      in
       match record_of_json (Json.of_string line) with
-      | r -> r
-      | exception Json.Parse_error msg ->
-          raise (Json.Parse_error (Printf.sprintf "%s:%d: %s" path (idx + 1) msg)))
+      | r when r.i = idx -> r
+      | r ->
+          fail
+            (Printf.sprintf
+               "trace record: i is %d, expected %d (records must be written in i order)"
+               r.i idx)
+      | exception Json.Parse_error msg -> fail msg)
     lines
 
 (* ------------------------------- sink ------------------------------- *)
 
-type sink = { oc : out_channel; mutex : Mutex.t; mutable seq : int; t0 : float }
+type sink = {
+  oc : out_channel;
+  mutex : Mutex.t;
+  line : Buffer.t;  (** assembled under [mutex] *)
+  mutable seq : int;
+  t0 : float;
+}
 
 let sink : sink option Atomic.t = Atomic.make None
 
@@ -493,21 +541,32 @@ let set_hook h = Atomic.set hook h
 
 let on () = Atomic.get sink <> None || Atomic.get hook <> None
 
+(* Each domain encodes event bodies into its own buffer, so encoding
+   runs in parallel; only what must follow [i] order is under the lock. *)
+let body_buffer = Domain.DLS.new_key (fun () -> Buffer.create 256)
+
 let write s ev =
-  (* Whole lines under the mutex: a parallel sweep's workers interleave
-     at record granularity, never inside one. *)
-  Mutex.protect s.mutex (fun () ->
-      let r =
-        {
-          i = s.seq;
-          w = (Domain.self () :> int);
-          ts = Unix.gettimeofday () -. s.t0;
-          ev;
-        }
-      in
-      s.seq <- s.seq + 1;
-      output_string s.oc (record_to_string r);
-      output_char s.oc '\n')
+  let body = Domain.DLS.get body_buffer in
+  Buffer.clear body;
+  add_event body ev;
+  let w = (Domain.self () :> int) in
+  (* Whole lines under the mutex, with [i] and [ts] taken together:
+     the file is in [i] order and [ts] is monotone in [i]. *)
+  Mutex.lock s.mutex;
+  match
+    let line = s.line in
+    Buffer.clear line;
+    add_envelope line ~i:s.seq ~w ~ts:(Unix.gettimeofday () -. s.t0);
+    s.seq <- s.seq + 1;
+    Buffer.add_buffer line body;
+    Buffer.add_char line '\n';
+    Buffer.output_buffer s.oc line
+  with
+  | () -> Mutex.unlock s.mutex
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Mutex.unlock s.mutex;
+      Printexc.raise_with_backtrace e bt
 
 let emit ev =
   (match Atomic.get sink with None -> () | Some s -> write s ev);
@@ -519,7 +578,15 @@ let detach_in_child () =
 
 let with_sink ?(program = Filename.basename Sys.executable_name) ~path f =
   let oc = open_out_bin path in
-  let s = { oc; mutex = Mutex.create (); seq = 0; t0 = Unix.gettimeofday () } in
+  let s =
+    {
+      oc;
+      mutex = Mutex.create ();
+      line = Buffer.create 512;
+      seq = 0;
+      t0 = Unix.gettimeofday ();
+    }
+  in
   if not (Atomic.compare_and_set sink None (Some s)) then begin
     close_out_noerr oc;
     invalid_arg "Trace.with_sink: a sink is already installed"

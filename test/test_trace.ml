@@ -36,6 +36,43 @@ let test_json_canonical_printing () =
   check_string "float six decimals" "0.000001" (J.to_string (J.Float 1e-6));
   check_string "non-finite is null" "null" (J.to_string (J.Float Float.nan))
 
+(* The float writer's fast path must agree with the "%.6f" rendering it
+   short-cuts, trimmed as the printer trims it. *)
+let printf_reference f =
+  if not (Float.is_finite f) then "null"
+  else
+    let s = Printf.sprintf "%.6f" f in
+    let stop = ref (String.length s) in
+    while !stop > 1 && s.[!stop - 1] = '0' && s.[!stop - 2] <> '.' do
+      decr stop
+    done;
+    String.sub s 0 !stop
+
+let test_json_float_matches_printf () =
+  let check f =
+    let got = J.to_string (J.Float f) in
+    if got <> printf_reference f then
+      Alcotest.failf "float %h (%.17g): got %s, want %s" f f got (printf_reference f)
+  in
+  List.iter check
+    [
+      0.0; -0.0; 5e-7; -5e-7; 1.5e-6; 2.5e-6; 1e-7; 4.9999999e-7; 0.000183; 0.25;
+      1.5; 12345.678901; 999999.9999995; Float.pred 1e6; 1e6; Float.succ 1e6; 1e15;
+      -1.5; -1e6; Float.min_float; Float.max_float; Float.epsilon; Float.nan;
+      Float.infinity; Float.neg_infinity;
+    ];
+  (* Uniform values, small timestamps, six-decimal grid points and the
+     ties halfway between them. *)
+  let st = Random.State.make [| 2026 |] in
+  for k = 1 to 1_000_000 do
+    check
+      (match k mod 4 with
+      | 0 -> Random.State.float st 1e6
+      | 1 -> Random.State.float st 1. *. (10. ** -.float_of_int (Random.State.int st 8))
+      | 2 -> float_of_int (Random.State.int st 1_000_000_000) /. 1e6
+      | _ -> (float_of_int (Random.State.int st 1_000_000_000) +. 0.5) /. 1e6)
+  done
+
 let test_json_roundtrip_byte_identical () =
   (* Canonical printing makes print/parse/print the identity on
      anything the library itself produced. *)
@@ -80,15 +117,34 @@ let test_json_accessors () =
 (* --------------------------- trace codec --------------------------- *)
 
 (* One of each event variant: the codec round-trip must cover the whole
-   type, so adding an event without a decoder breaks this test. *)
+   type, so adding an event without a decoder breaks this test.  A few
+   fields carry edge values for the writer: extreme ints, a float past
+   1e6, strings that need escaping and raw UTF-8 bytes. *)
 let all_events =
   [
     T.Trace_header { version = T.version; program = "test" };
     T.Cell_start { key = "t=1 k=6" };
     T.Cell_finish { key = "t=1 k=6"; status = "ok" };
-    T.Checkpoint_flush { key = "t=1 k=6"; bytes = 41 };
+    T.Checkpoint_flush { key = "t=1 k=6"; bytes = max_int };
     T.Worker_start { index = 2 };
     T.Worker_stop { index = 2; tasks = 7 };
+    T.Child_spawn { key = "t=1 k=6"; pid = 4242; attempt = 0 };
+    T.Child_heartbeat { key = "t=1 k=6"; pid = 4242 };
+    T.Child_kill { key = "t=1 k=6"; pid = 4242; signal = "sigkill"; elapsed = 2.25 };
+    T.Child_exit
+      { key = "t=1 k=6"; pid = 4242; status = "signal:KILL"; cpu_user = 0.125; cpu_sys = 1.5e7 };
+    T.Cell_retry { key = "t=1 k=6"; attempt = 1; delay = 0.05 };
+    T.Cell_quarantined { key = "t=1 k=6"; attempts = 3; reason = "signal:\"SEGV\"\n" };
+    T.Server_start { socket = "/tmp/serve.sock"; jobs = 2; queue_limit = 64 };
+    T.Conn_open { conn = min_int };
+    T.Conn_close { conn = 9; reason = "drop_conn" };
+    T.Job_submit { id = "c0ffee"; kind = "thm1"; disposition = "new" };
+    T.Job_reject { id = "c0ffee"; queued = 64; limit = 64 };
+    T.Job_start { id = "c0ffee"; attempt = 0 };
+    T.Job_done { id = "c0ffee"; status = "quarantined" };
+    T.Server_drain { queued = 3; running = -1 };
+    T.Chaos_injected { kind = "partial_frame" };
+    T.Canon_hit { kind = "step"; key = "d41d8cd98f00b204e9800998ecf8427e" };
     T.Game_start
       {
         adversary = "thm1-grid";
@@ -113,10 +169,10 @@ let all_events =
     T.Color_call { calls = 17; work = 990 };
     T.Audit { executor = "fixed_host"; ok = false; detail = "monochromatic edge 0 -- 1" };
     T.Fault_injected { tag = "wrong-color"; call = 4 };
-    T.Misbehavior { label = "raised"; detail = "raised: Failure" };
+    T.Misbehavior { label = "raised"; detail = "raised: Failure(\"a\\b\")\t\x01\x1f" };
     T.Journal_corrupt { path = "j.journal"; line = 7; reason = "torn record" };
     T.Fleet_start { endpoints = 2; jobs = 8; shard_seed = 0 };
-    T.Endpoint_state { endpoint = "/tmp/a.sock"; state = "up" };
+    T.Endpoint_state { endpoint = "/tmp/\xc3\xa9t\xc3\xa9.sock"; state = "up" };
     T.Failover { id = "deadbeef"; src = "/tmp/a.sock"; dst = "tcp:7002" };
     T.Rebalance { moved = 3; src = "/tmp/a.sock"; dst = "tcp:7002" };
     T.Fleet_verdict { verdict = "FULL"; results = 5; failovers = 0; duplicates = 0 };
@@ -132,6 +188,205 @@ let test_event_codec_roundtrip () =
       check_string "re-emit is byte-identical" line (T.record_to_string r');
       check_bool "structurally equal" true (r = r'))
     all_events
+
+(* Lines written by the encoder this writer replaced (which built a
+   [Json.t] tree and printed it), for every event in [all_events] at
+   each of these timestamps: the writer must reproduce them byte for
+   byte. *)
+let golden_ts = [ 0.0; 5e-7; 0.000183; 1.5; 12345.678901 ]
+
+let golden_lines =
+  [
+    {|{"i":0,"w":3,"ts":0.0,"ev":"trace_header","version":5,"program":"test"}|};
+    {|{"i":1,"w":3,"ts":0.0,"ev":"cell_start","key":"t=1 k=6"}|};
+    {|{"i":2,"w":3,"ts":0.0,"ev":"cell_finish","key":"t=1 k=6","status":"ok"}|};
+    {|{"i":3,"w":3,"ts":0.0,"ev":"checkpoint_flush","key":"t=1 k=6","bytes":4611686018427387903}|};
+    {|{"i":4,"w":3,"ts":0.0,"ev":"worker_start","index":2}|};
+    {|{"i":5,"w":3,"ts":0.0,"ev":"worker_stop","index":2,"tasks":7}|};
+    {|{"i":6,"w":3,"ts":0.0,"ev":"child_spawn","key":"t=1 k=6","pid":4242,"attempt":0}|};
+    {|{"i":7,"w":3,"ts":0.0,"ev":"child_heartbeat","key":"t=1 k=6","pid":4242}|};
+    {|{"i":8,"w":3,"ts":0.0,"ev":"child_kill","key":"t=1 k=6","pid":4242,"signal":"sigkill","elapsed":2.25}|};
+    {|{"i":9,"w":3,"ts":0.0,"ev":"child_exit","key":"t=1 k=6","pid":4242,"status":"signal:KILL","cpu_user":0.125,"cpu_sys":15000000.0}|};
+    {|{"i":10,"w":3,"ts":0.0,"ev":"cell_retry","key":"t=1 k=6","attempt":1,"delay":0.05}|};
+    {|{"i":11,"w":3,"ts":0.0,"ev":"cell_quarantined","key":"t=1 k=6","attempts":3,"reason":"signal:\"SEGV\"\n"}|};
+    {|{"i":12,"w":3,"ts":0.0,"ev":"server_start","socket":"/tmp/serve.sock","jobs":2,"queue_limit":64}|};
+    {|{"i":13,"w":3,"ts":0.0,"ev":"conn_open","conn":-4611686018427387904}|};
+    {|{"i":14,"w":3,"ts":0.0,"ev":"conn_close","conn":9,"reason":"drop_conn"}|};
+    {|{"i":15,"w":3,"ts":0.0,"ev":"job_submit","id":"c0ffee","kind":"thm1","disposition":"new"}|};
+    {|{"i":16,"w":3,"ts":0.0,"ev":"job_reject","id":"c0ffee","queued":64,"limit":64}|};
+    {|{"i":17,"w":3,"ts":0.0,"ev":"job_start","id":"c0ffee","attempt":0}|};
+    {|{"i":18,"w":3,"ts":0.0,"ev":"job_done","id":"c0ffee","status":"quarantined"}|};
+    {|{"i":19,"w":3,"ts":0.0,"ev":"server_drain","queued":3,"running":-1}|};
+    {|{"i":20,"w":3,"ts":0.0,"ev":"chaos_injected","kind":"partial_frame"}|};
+    {|{"i":21,"w":3,"ts":0.0,"ev":"canon_hit","kind":"step","key":"d41d8cd98f00b204e9800998ecf8427e"}|};
+    {|{"i":22,"w":3,"ts":0.0,"ev":"game_start","adversary":"thm1-grid","algorithm":"greedy","n":40,"max_color_calls":100,"max_work":null,"deadline":1.5}|};
+    {|{"i":23,"w":3,"ts":0.0,"ev":"game_verdict","adversary":"thm1-grid","algorithm":"greedy","n":40,"outcome":"DEFEATED","guaranteed":true,"color_calls":17,"work":990}|};
+    {|{"i":24,"w":3,"ts":0.0,"ev":"step","executor":"virtual_grid","step":3,"target":12,"revealed":30,"max_view":30}|};
+    {|{"i":25,"w":3,"ts":0.0,"ev":"reveal","executor":"virtual_grid","step":3,"fresh":5,"revealed":30}|};
+    {|{"i":26,"w":3,"ts":0.0,"ev":"color_call","calls":17,"work":990}|};
+    {|{"i":27,"w":3,"ts":0.0,"ev":"audit","executor":"fixed_host","ok":false,"detail":"monochromatic edge 0 -- 1"}|};
+    {|{"i":28,"w":3,"ts":0.0,"ev":"fault_injected","tag":"wrong-color","call":4}|};
+    {|{"i":29,"w":3,"ts":0.0,"ev":"misbehavior","label":"raised","detail":"raised: Failure(\"a\\b\")\t\u0001\u001f"}|};
+    {|{"i":30,"w":3,"ts":0.0,"ev":"journal_corrupt","path":"j.journal","line":7,"reason":"torn record"}|};
+    {|{"i":31,"w":3,"ts":0.0,"ev":"fleet_start","endpoints":2,"jobs":8,"shard_seed":0}|};
+    {|{"i":32,"w":3,"ts":0.0,"ev":"endpoint_state","endpoint":"/tmp/été.sock","state":"up"}|};
+    {|{"i":33,"w":3,"ts":0.0,"ev":"failover","id":"deadbeef","src":"/tmp/a.sock","dst":"tcp:7002"}|};
+    {|{"i":34,"w":3,"ts":0.0,"ev":"rebalance","moved":3,"src":"/tmp/a.sock","dst":"tcp:7002"}|};
+    {|{"i":35,"w":3,"ts":0.0,"ev":"fleet_verdict","verdict":"FULL","results":5,"failovers":0,"duplicates":0}|};
+    {|{"i":0,"w":3,"ts":0.0,"ev":"trace_header","version":5,"program":"test"}|};
+    {|{"i":1,"w":3,"ts":0.0,"ev":"cell_start","key":"t=1 k=6"}|};
+    {|{"i":2,"w":3,"ts":0.0,"ev":"cell_finish","key":"t=1 k=6","status":"ok"}|};
+    {|{"i":3,"w":3,"ts":0.0,"ev":"checkpoint_flush","key":"t=1 k=6","bytes":4611686018427387903}|};
+    {|{"i":4,"w":3,"ts":0.0,"ev":"worker_start","index":2}|};
+    {|{"i":5,"w":3,"ts":0.0,"ev":"worker_stop","index":2,"tasks":7}|};
+    {|{"i":6,"w":3,"ts":0.0,"ev":"child_spawn","key":"t=1 k=6","pid":4242,"attempt":0}|};
+    {|{"i":7,"w":3,"ts":0.0,"ev":"child_heartbeat","key":"t=1 k=6","pid":4242}|};
+    {|{"i":8,"w":3,"ts":0.0,"ev":"child_kill","key":"t=1 k=6","pid":4242,"signal":"sigkill","elapsed":2.25}|};
+    {|{"i":9,"w":3,"ts":0.0,"ev":"child_exit","key":"t=1 k=6","pid":4242,"status":"signal:KILL","cpu_user":0.125,"cpu_sys":15000000.0}|};
+    {|{"i":10,"w":3,"ts":0.0,"ev":"cell_retry","key":"t=1 k=6","attempt":1,"delay":0.05}|};
+    {|{"i":11,"w":3,"ts":0.0,"ev":"cell_quarantined","key":"t=1 k=6","attempts":3,"reason":"signal:\"SEGV\"\n"}|};
+    {|{"i":12,"w":3,"ts":0.0,"ev":"server_start","socket":"/tmp/serve.sock","jobs":2,"queue_limit":64}|};
+    {|{"i":13,"w":3,"ts":0.0,"ev":"conn_open","conn":-4611686018427387904}|};
+    {|{"i":14,"w":3,"ts":0.0,"ev":"conn_close","conn":9,"reason":"drop_conn"}|};
+    {|{"i":15,"w":3,"ts":0.0,"ev":"job_submit","id":"c0ffee","kind":"thm1","disposition":"new"}|};
+    {|{"i":16,"w":3,"ts":0.0,"ev":"job_reject","id":"c0ffee","queued":64,"limit":64}|};
+    {|{"i":17,"w":3,"ts":0.0,"ev":"job_start","id":"c0ffee","attempt":0}|};
+    {|{"i":18,"w":3,"ts":0.0,"ev":"job_done","id":"c0ffee","status":"quarantined"}|};
+    {|{"i":19,"w":3,"ts":0.0,"ev":"server_drain","queued":3,"running":-1}|};
+    {|{"i":20,"w":3,"ts":0.0,"ev":"chaos_injected","kind":"partial_frame"}|};
+    {|{"i":21,"w":3,"ts":0.0,"ev":"canon_hit","kind":"step","key":"d41d8cd98f00b204e9800998ecf8427e"}|};
+    {|{"i":22,"w":3,"ts":0.0,"ev":"game_start","adversary":"thm1-grid","algorithm":"greedy","n":40,"max_color_calls":100,"max_work":null,"deadline":1.5}|};
+    {|{"i":23,"w":3,"ts":0.0,"ev":"game_verdict","adversary":"thm1-grid","algorithm":"greedy","n":40,"outcome":"DEFEATED","guaranteed":true,"color_calls":17,"work":990}|};
+    {|{"i":24,"w":3,"ts":0.0,"ev":"step","executor":"virtual_grid","step":3,"target":12,"revealed":30,"max_view":30}|};
+    {|{"i":25,"w":3,"ts":0.0,"ev":"reveal","executor":"virtual_grid","step":3,"fresh":5,"revealed":30}|};
+    {|{"i":26,"w":3,"ts":0.0,"ev":"color_call","calls":17,"work":990}|};
+    {|{"i":27,"w":3,"ts":0.0,"ev":"audit","executor":"fixed_host","ok":false,"detail":"monochromatic edge 0 -- 1"}|};
+    {|{"i":28,"w":3,"ts":0.0,"ev":"fault_injected","tag":"wrong-color","call":4}|};
+    {|{"i":29,"w":3,"ts":0.0,"ev":"misbehavior","label":"raised","detail":"raised: Failure(\"a\\b\")\t\u0001\u001f"}|};
+    {|{"i":30,"w":3,"ts":0.0,"ev":"journal_corrupt","path":"j.journal","line":7,"reason":"torn record"}|};
+    {|{"i":31,"w":3,"ts":0.0,"ev":"fleet_start","endpoints":2,"jobs":8,"shard_seed":0}|};
+    {|{"i":32,"w":3,"ts":0.0,"ev":"endpoint_state","endpoint":"/tmp/été.sock","state":"up"}|};
+    {|{"i":33,"w":3,"ts":0.0,"ev":"failover","id":"deadbeef","src":"/tmp/a.sock","dst":"tcp:7002"}|};
+    {|{"i":34,"w":3,"ts":0.0,"ev":"rebalance","moved":3,"src":"/tmp/a.sock","dst":"tcp:7002"}|};
+    {|{"i":35,"w":3,"ts":0.0,"ev":"fleet_verdict","verdict":"FULL","results":5,"failovers":0,"duplicates":0}|};
+    {|{"i":0,"w":3,"ts":0.000183,"ev":"trace_header","version":5,"program":"test"}|};
+    {|{"i":1,"w":3,"ts":0.000183,"ev":"cell_start","key":"t=1 k=6"}|};
+    {|{"i":2,"w":3,"ts":0.000183,"ev":"cell_finish","key":"t=1 k=6","status":"ok"}|};
+    {|{"i":3,"w":3,"ts":0.000183,"ev":"checkpoint_flush","key":"t=1 k=6","bytes":4611686018427387903}|};
+    {|{"i":4,"w":3,"ts":0.000183,"ev":"worker_start","index":2}|};
+    {|{"i":5,"w":3,"ts":0.000183,"ev":"worker_stop","index":2,"tasks":7}|};
+    {|{"i":6,"w":3,"ts":0.000183,"ev":"child_spawn","key":"t=1 k=6","pid":4242,"attempt":0}|};
+    {|{"i":7,"w":3,"ts":0.000183,"ev":"child_heartbeat","key":"t=1 k=6","pid":4242}|};
+    {|{"i":8,"w":3,"ts":0.000183,"ev":"child_kill","key":"t=1 k=6","pid":4242,"signal":"sigkill","elapsed":2.25}|};
+    {|{"i":9,"w":3,"ts":0.000183,"ev":"child_exit","key":"t=1 k=6","pid":4242,"status":"signal:KILL","cpu_user":0.125,"cpu_sys":15000000.0}|};
+    {|{"i":10,"w":3,"ts":0.000183,"ev":"cell_retry","key":"t=1 k=6","attempt":1,"delay":0.05}|};
+    {|{"i":11,"w":3,"ts":0.000183,"ev":"cell_quarantined","key":"t=1 k=6","attempts":3,"reason":"signal:\"SEGV\"\n"}|};
+    {|{"i":12,"w":3,"ts":0.000183,"ev":"server_start","socket":"/tmp/serve.sock","jobs":2,"queue_limit":64}|};
+    {|{"i":13,"w":3,"ts":0.000183,"ev":"conn_open","conn":-4611686018427387904}|};
+    {|{"i":14,"w":3,"ts":0.000183,"ev":"conn_close","conn":9,"reason":"drop_conn"}|};
+    {|{"i":15,"w":3,"ts":0.000183,"ev":"job_submit","id":"c0ffee","kind":"thm1","disposition":"new"}|};
+    {|{"i":16,"w":3,"ts":0.000183,"ev":"job_reject","id":"c0ffee","queued":64,"limit":64}|};
+    {|{"i":17,"w":3,"ts":0.000183,"ev":"job_start","id":"c0ffee","attempt":0}|};
+    {|{"i":18,"w":3,"ts":0.000183,"ev":"job_done","id":"c0ffee","status":"quarantined"}|};
+    {|{"i":19,"w":3,"ts":0.000183,"ev":"server_drain","queued":3,"running":-1}|};
+    {|{"i":20,"w":3,"ts":0.000183,"ev":"chaos_injected","kind":"partial_frame"}|};
+    {|{"i":21,"w":3,"ts":0.000183,"ev":"canon_hit","kind":"step","key":"d41d8cd98f00b204e9800998ecf8427e"}|};
+    {|{"i":22,"w":3,"ts":0.000183,"ev":"game_start","adversary":"thm1-grid","algorithm":"greedy","n":40,"max_color_calls":100,"max_work":null,"deadline":1.5}|};
+    {|{"i":23,"w":3,"ts":0.000183,"ev":"game_verdict","adversary":"thm1-grid","algorithm":"greedy","n":40,"outcome":"DEFEATED","guaranteed":true,"color_calls":17,"work":990}|};
+    {|{"i":24,"w":3,"ts":0.000183,"ev":"step","executor":"virtual_grid","step":3,"target":12,"revealed":30,"max_view":30}|};
+    {|{"i":25,"w":3,"ts":0.000183,"ev":"reveal","executor":"virtual_grid","step":3,"fresh":5,"revealed":30}|};
+    {|{"i":26,"w":3,"ts":0.000183,"ev":"color_call","calls":17,"work":990}|};
+    {|{"i":27,"w":3,"ts":0.000183,"ev":"audit","executor":"fixed_host","ok":false,"detail":"monochromatic edge 0 -- 1"}|};
+    {|{"i":28,"w":3,"ts":0.000183,"ev":"fault_injected","tag":"wrong-color","call":4}|};
+    {|{"i":29,"w":3,"ts":0.000183,"ev":"misbehavior","label":"raised","detail":"raised: Failure(\"a\\b\")\t\u0001\u001f"}|};
+    {|{"i":30,"w":3,"ts":0.000183,"ev":"journal_corrupt","path":"j.journal","line":7,"reason":"torn record"}|};
+    {|{"i":31,"w":3,"ts":0.000183,"ev":"fleet_start","endpoints":2,"jobs":8,"shard_seed":0}|};
+    {|{"i":32,"w":3,"ts":0.000183,"ev":"endpoint_state","endpoint":"/tmp/été.sock","state":"up"}|};
+    {|{"i":33,"w":3,"ts":0.000183,"ev":"failover","id":"deadbeef","src":"/tmp/a.sock","dst":"tcp:7002"}|};
+    {|{"i":34,"w":3,"ts":0.000183,"ev":"rebalance","moved":3,"src":"/tmp/a.sock","dst":"tcp:7002"}|};
+    {|{"i":35,"w":3,"ts":0.000183,"ev":"fleet_verdict","verdict":"FULL","results":5,"failovers":0,"duplicates":0}|};
+    {|{"i":0,"w":3,"ts":1.5,"ev":"trace_header","version":5,"program":"test"}|};
+    {|{"i":1,"w":3,"ts":1.5,"ev":"cell_start","key":"t=1 k=6"}|};
+    {|{"i":2,"w":3,"ts":1.5,"ev":"cell_finish","key":"t=1 k=6","status":"ok"}|};
+    {|{"i":3,"w":3,"ts":1.5,"ev":"checkpoint_flush","key":"t=1 k=6","bytes":4611686018427387903}|};
+    {|{"i":4,"w":3,"ts":1.5,"ev":"worker_start","index":2}|};
+    {|{"i":5,"w":3,"ts":1.5,"ev":"worker_stop","index":2,"tasks":7}|};
+    {|{"i":6,"w":3,"ts":1.5,"ev":"child_spawn","key":"t=1 k=6","pid":4242,"attempt":0}|};
+    {|{"i":7,"w":3,"ts":1.5,"ev":"child_heartbeat","key":"t=1 k=6","pid":4242}|};
+    {|{"i":8,"w":3,"ts":1.5,"ev":"child_kill","key":"t=1 k=6","pid":4242,"signal":"sigkill","elapsed":2.25}|};
+    {|{"i":9,"w":3,"ts":1.5,"ev":"child_exit","key":"t=1 k=6","pid":4242,"status":"signal:KILL","cpu_user":0.125,"cpu_sys":15000000.0}|};
+    {|{"i":10,"w":3,"ts":1.5,"ev":"cell_retry","key":"t=1 k=6","attempt":1,"delay":0.05}|};
+    {|{"i":11,"w":3,"ts":1.5,"ev":"cell_quarantined","key":"t=1 k=6","attempts":3,"reason":"signal:\"SEGV\"\n"}|};
+    {|{"i":12,"w":3,"ts":1.5,"ev":"server_start","socket":"/tmp/serve.sock","jobs":2,"queue_limit":64}|};
+    {|{"i":13,"w":3,"ts":1.5,"ev":"conn_open","conn":-4611686018427387904}|};
+    {|{"i":14,"w":3,"ts":1.5,"ev":"conn_close","conn":9,"reason":"drop_conn"}|};
+    {|{"i":15,"w":3,"ts":1.5,"ev":"job_submit","id":"c0ffee","kind":"thm1","disposition":"new"}|};
+    {|{"i":16,"w":3,"ts":1.5,"ev":"job_reject","id":"c0ffee","queued":64,"limit":64}|};
+    {|{"i":17,"w":3,"ts":1.5,"ev":"job_start","id":"c0ffee","attempt":0}|};
+    {|{"i":18,"w":3,"ts":1.5,"ev":"job_done","id":"c0ffee","status":"quarantined"}|};
+    {|{"i":19,"w":3,"ts":1.5,"ev":"server_drain","queued":3,"running":-1}|};
+    {|{"i":20,"w":3,"ts":1.5,"ev":"chaos_injected","kind":"partial_frame"}|};
+    {|{"i":21,"w":3,"ts":1.5,"ev":"canon_hit","kind":"step","key":"d41d8cd98f00b204e9800998ecf8427e"}|};
+    {|{"i":22,"w":3,"ts":1.5,"ev":"game_start","adversary":"thm1-grid","algorithm":"greedy","n":40,"max_color_calls":100,"max_work":null,"deadline":1.5}|};
+    {|{"i":23,"w":3,"ts":1.5,"ev":"game_verdict","adversary":"thm1-grid","algorithm":"greedy","n":40,"outcome":"DEFEATED","guaranteed":true,"color_calls":17,"work":990}|};
+    {|{"i":24,"w":3,"ts":1.5,"ev":"step","executor":"virtual_grid","step":3,"target":12,"revealed":30,"max_view":30}|};
+    {|{"i":25,"w":3,"ts":1.5,"ev":"reveal","executor":"virtual_grid","step":3,"fresh":5,"revealed":30}|};
+    {|{"i":26,"w":3,"ts":1.5,"ev":"color_call","calls":17,"work":990}|};
+    {|{"i":27,"w":3,"ts":1.5,"ev":"audit","executor":"fixed_host","ok":false,"detail":"monochromatic edge 0 -- 1"}|};
+    {|{"i":28,"w":3,"ts":1.5,"ev":"fault_injected","tag":"wrong-color","call":4}|};
+    {|{"i":29,"w":3,"ts":1.5,"ev":"misbehavior","label":"raised","detail":"raised: Failure(\"a\\b\")\t\u0001\u001f"}|};
+    {|{"i":30,"w":3,"ts":1.5,"ev":"journal_corrupt","path":"j.journal","line":7,"reason":"torn record"}|};
+    {|{"i":31,"w":3,"ts":1.5,"ev":"fleet_start","endpoints":2,"jobs":8,"shard_seed":0}|};
+    {|{"i":32,"w":3,"ts":1.5,"ev":"endpoint_state","endpoint":"/tmp/été.sock","state":"up"}|};
+    {|{"i":33,"w":3,"ts":1.5,"ev":"failover","id":"deadbeef","src":"/tmp/a.sock","dst":"tcp:7002"}|};
+    {|{"i":34,"w":3,"ts":1.5,"ev":"rebalance","moved":3,"src":"/tmp/a.sock","dst":"tcp:7002"}|};
+    {|{"i":35,"w":3,"ts":1.5,"ev":"fleet_verdict","verdict":"FULL","results":5,"failovers":0,"duplicates":0}|};
+    {|{"i":0,"w":3,"ts":12345.678901,"ev":"trace_header","version":5,"program":"test"}|};
+    {|{"i":1,"w":3,"ts":12345.678901,"ev":"cell_start","key":"t=1 k=6"}|};
+    {|{"i":2,"w":3,"ts":12345.678901,"ev":"cell_finish","key":"t=1 k=6","status":"ok"}|};
+    {|{"i":3,"w":3,"ts":12345.678901,"ev":"checkpoint_flush","key":"t=1 k=6","bytes":4611686018427387903}|};
+    {|{"i":4,"w":3,"ts":12345.678901,"ev":"worker_start","index":2}|};
+    {|{"i":5,"w":3,"ts":12345.678901,"ev":"worker_stop","index":2,"tasks":7}|};
+    {|{"i":6,"w":3,"ts":12345.678901,"ev":"child_spawn","key":"t=1 k=6","pid":4242,"attempt":0}|};
+    {|{"i":7,"w":3,"ts":12345.678901,"ev":"child_heartbeat","key":"t=1 k=6","pid":4242}|};
+    {|{"i":8,"w":3,"ts":12345.678901,"ev":"child_kill","key":"t=1 k=6","pid":4242,"signal":"sigkill","elapsed":2.25}|};
+    {|{"i":9,"w":3,"ts":12345.678901,"ev":"child_exit","key":"t=1 k=6","pid":4242,"status":"signal:KILL","cpu_user":0.125,"cpu_sys":15000000.0}|};
+    {|{"i":10,"w":3,"ts":12345.678901,"ev":"cell_retry","key":"t=1 k=6","attempt":1,"delay":0.05}|};
+    {|{"i":11,"w":3,"ts":12345.678901,"ev":"cell_quarantined","key":"t=1 k=6","attempts":3,"reason":"signal:\"SEGV\"\n"}|};
+    {|{"i":12,"w":3,"ts":12345.678901,"ev":"server_start","socket":"/tmp/serve.sock","jobs":2,"queue_limit":64}|};
+    {|{"i":13,"w":3,"ts":12345.678901,"ev":"conn_open","conn":-4611686018427387904}|};
+    {|{"i":14,"w":3,"ts":12345.678901,"ev":"conn_close","conn":9,"reason":"drop_conn"}|};
+    {|{"i":15,"w":3,"ts":12345.678901,"ev":"job_submit","id":"c0ffee","kind":"thm1","disposition":"new"}|};
+    {|{"i":16,"w":3,"ts":12345.678901,"ev":"job_reject","id":"c0ffee","queued":64,"limit":64}|};
+    {|{"i":17,"w":3,"ts":12345.678901,"ev":"job_start","id":"c0ffee","attempt":0}|};
+    {|{"i":18,"w":3,"ts":12345.678901,"ev":"job_done","id":"c0ffee","status":"quarantined"}|};
+    {|{"i":19,"w":3,"ts":12345.678901,"ev":"server_drain","queued":3,"running":-1}|};
+    {|{"i":20,"w":3,"ts":12345.678901,"ev":"chaos_injected","kind":"partial_frame"}|};
+    {|{"i":21,"w":3,"ts":12345.678901,"ev":"canon_hit","kind":"step","key":"d41d8cd98f00b204e9800998ecf8427e"}|};
+    {|{"i":22,"w":3,"ts":12345.678901,"ev":"game_start","adversary":"thm1-grid","algorithm":"greedy","n":40,"max_color_calls":100,"max_work":null,"deadline":1.5}|};
+    {|{"i":23,"w":3,"ts":12345.678901,"ev":"game_verdict","adversary":"thm1-grid","algorithm":"greedy","n":40,"outcome":"DEFEATED","guaranteed":true,"color_calls":17,"work":990}|};
+    {|{"i":24,"w":3,"ts":12345.678901,"ev":"step","executor":"virtual_grid","step":3,"target":12,"revealed":30,"max_view":30}|};
+    {|{"i":25,"w":3,"ts":12345.678901,"ev":"reveal","executor":"virtual_grid","step":3,"fresh":5,"revealed":30}|};
+    {|{"i":26,"w":3,"ts":12345.678901,"ev":"color_call","calls":17,"work":990}|};
+    {|{"i":27,"w":3,"ts":12345.678901,"ev":"audit","executor":"fixed_host","ok":false,"detail":"monochromatic edge 0 -- 1"}|};
+    {|{"i":28,"w":3,"ts":12345.678901,"ev":"fault_injected","tag":"wrong-color","call":4}|};
+    {|{"i":29,"w":3,"ts":12345.678901,"ev":"misbehavior","label":"raised","detail":"raised: Failure(\"a\\b\")\t\u0001\u001f"}|};
+    {|{"i":30,"w":3,"ts":12345.678901,"ev":"journal_corrupt","path":"j.journal","line":7,"reason":"torn record"}|};
+    {|{"i":31,"w":3,"ts":12345.678901,"ev":"fleet_start","endpoints":2,"jobs":8,"shard_seed":0}|};
+    {|{"i":32,"w":3,"ts":12345.678901,"ev":"endpoint_state","endpoint":"/tmp/été.sock","state":"up"}|};
+    {|{"i":33,"w":3,"ts":12345.678901,"ev":"failover","id":"deadbeef","src":"/tmp/a.sock","dst":"tcp:7002"}|};
+    {|{"i":34,"w":3,"ts":12345.678901,"ev":"rebalance","moved":3,"src":"/tmp/a.sock","dst":"tcp:7002"}|};
+    {|{"i":35,"w":3,"ts":12345.678901,"ev":"fleet_verdict","verdict":"FULL","results":5,"failovers":0,"duplicates":0}|}
+  ]
+
+let test_codec_golden_lines () =
+  let lines =
+    List.concat_map
+      (fun ts ->
+        List.mapi (fun idx ev -> T.record_to_string { T.i = idx; w = 3; ts; ev }) all_events)
+      golden_ts
+  in
+  Alcotest.(check (list string)) "byte-identical to the golden lines" golden_lines lines
 
 let test_codec_rejects_newer_version () =
   let line =
@@ -190,6 +445,68 @@ let test_read_file_strict () =
             (String.length msg > 0
             && Option.is_some (String.index_opt msg ':'))
       | _ -> Alcotest.fail "malformed line accepted")
+
+let test_read_file_rejects_out_of_order () =
+  let line i = Printf.sprintf {|{"i":%d,"w":0,"ts":0.0,"ev":"cell_start","key":"a"}|} i in
+  List.iter
+    (fun (order, bad_line) ->
+      with_temp_file ".trace" (fun path ->
+          Out_channel.with_open_text path (fun oc ->
+              List.iter (fun i -> Out_channel.output_string oc (line i ^ "\n")) order);
+          match T.read_file path with
+          | exception J.Parse_error msg ->
+              let at = Printf.sprintf "%s:%d:" path bad_line in
+              check_bool ("error names line " ^ string_of_int bad_line) true
+                (String.starts_with ~prefix:at msg)
+          | _ -> Alcotest.fail "out-of-order trace accepted"))
+    [ ([ 0; 1; 3 ], 3); ([ 0; 2; 1 ], 2); ([ 1; 2 ], 1); ([ 0; 0 ], 2) ]
+
+let test_sink_concurrent_domains () =
+  (* Two domains emit through one sink: the file must still parse, with
+     [i] dense in file order, [ts] monotone, each domain's records in
+     its own emission order, and every line exactly [record_to_string]
+     of its parsed record. *)
+  let n = 20_000 in
+  with_temp_file ".trace" (fun path ->
+      let emitter executor () =
+        for k = 0 to n - 1 do
+          T.emit (T.Step { executor; step = k; target = k; revealed = k; max_view = k })
+        done;
+        (Domain.self () :> int)
+      in
+      let wa, wb =
+        T.with_sink ~program:"test" ~path (fun () ->
+            let a = Domain.spawn (emitter "a") in
+            let b = Domain.spawn (emitter "b") in
+            (Domain.join a, Domain.join b))
+      in
+      let records = T.read_file path in
+      check_int "header + 2n records" (1 + (2 * n)) (List.length records);
+      check_bool "i dense in file order" true
+        (List.for_all2 (fun idx r -> r.T.i = idx) (List.init (1 + (2 * n)) Fun.id) records);
+      let ts = List.map (fun r -> r.T.ts) records in
+      check_bool "ts monotone in i" true
+        (List.for_all2 ( <= ) (List.rev (List.tl (List.rev ts))) (List.tl ts));
+      List.iter
+        (fun (w, name) ->
+          let steps =
+            List.filter_map
+              (fun r ->
+                match r.T.ev with
+                | T.Step { executor; step; _ } when r.T.w = w ->
+                    check_string "one executor per domain" name executor;
+                    Some step
+                | _ -> None)
+              records
+          in
+          Alcotest.(check (list int)) ("emission order of domain " ^ name)
+            (List.init n Fun.id) steps)
+        [ (wa, "a"); (wb, "b") ];
+      let original = In_channel.with_open_bin path In_channel.input_all in
+      let reemitted =
+        String.concat "" (List.map (fun r -> T.record_to_string r ^ "\n") records)
+      in
+      check_bool "re-emitted file is byte-identical" true (original = reemitted))
 
 (* ----------------------------- metrics ----------------------------- *)
 
@@ -439,6 +756,8 @@ let () =
       ( "json",
         [
           Alcotest.test_case "canonical printing" `Quick test_json_canonical_printing;
+          Alcotest.test_case "float fast path matches printf" `Quick
+            test_json_float_matches_printf;
           Alcotest.test_case "roundtrip byte-identical" `Quick
             test_json_roundtrip_byte_identical;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
@@ -447,6 +766,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "event roundtrip" `Quick test_event_codec_roundtrip;
+          Alcotest.test_case "golden lines" `Quick test_codec_golden_lines;
           Alcotest.test_case "newer version rejected" `Quick
             test_codec_rejects_newer_version;
           Alcotest.test_case "unknown event rejected" `Quick
@@ -457,6 +777,9 @@ let () =
           Alcotest.test_case "ndjson roundtrip" `Quick test_sink_ndjson_roundtrip;
           Alcotest.test_case "nesting rejected" `Quick test_sink_rejects_nesting;
           Alcotest.test_case "strict reader" `Quick test_read_file_strict;
+          Alcotest.test_case "reader enforces i order" `Quick
+            test_read_file_rejects_out_of_order;
+          Alcotest.test_case "two domains, one sink" `Quick test_sink_concurrent_domains;
         ] );
       ( "metrics",
         [
