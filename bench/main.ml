@@ -82,7 +82,7 @@ let bench_harness_overhead_traced =
      enabled tracing; BENCH_trace_overhead.json isolates the components. *)
   Test.make ~name:"harness: thm1 vs greedy (k=6), guarded+traced"
     (Staged.stage (fun () ->
-         Harness.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
+         Obs.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
              let guard = Harness.Guard.create ~limits:Harness.Guard.default_limits () in
              let algorithm = Harness.Guard.algorithm guard (Portfolio.greedy ()) in
              ignore (Thm1_adversary.run ~n_side:400 ~k:6 ~algorithm ()))))
@@ -364,7 +364,7 @@ let sweep_scaling () =
        ~jobs_axis:(List.map (fun (jobs, _, _) -> jobs) rows)
        ~results)
 
-(* ----------------- trace/metrics overhead (E9) ------------------- *)
+(* --------------------- trace overhead (E9) ---------------------- *)
 
 (* The overhead contract of the observability layer, measured on the
    same guarded thm1 game as the bechamel harness-overhead subject:
@@ -373,7 +373,6 @@ let sweep_scaling () =
      guarded_untraced           guarded, hooks disabled (production default)
      guarded_untraced_control   identical second measurement of the above
      guarded_traced             guarded, sink streaming to /dev/null
-     guarded_metrics            guarded, metrics registry enabled
      guarded_flight             guarded, flight-recorder ring armed
      guarded_stats              guarded, stats registry enabled
 
@@ -420,21 +419,21 @@ let round_robin_best ~passes subjects =
 (* The flight-recorder and stats subjects shared by E9 and E14: same
    guarded thm1 game, observability in its campaign configuration. *)
 let flight_subject measure =
-  Harness.Flight.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
+  Obs.Flight.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
       measure guarded_thm1)
 
 let stats_subject measure =
-  Harness.Stats.enable ();
+  Obs.Stats.enable ();
   Fun.protect
     ~finally:(fun () ->
-      Harness.Stats.disable ();
-      Harness.Stats.reset ())
+      Obs.Stats.disable ();
+      Obs.Stats.reset ())
     (fun () -> measure guarded_thm1)
 
 let trace_overhead () =
   let inner = 60 and passes = 8 in
   Format.printf
-    "== E9: trace/metrics overhead (thm1 vs greedy, k=6, side=400; best of \
+    "== E9: trace overhead (thm1 vs greedy, k=6, side=400; best of \
      %d passes x %d runs) ==@.@."
     passes inner;
   let measure f = measure_inner ~inner f in
@@ -445,16 +444,8 @@ let trace_overhead () =
       ("guarded_untraced_control", fun () -> measure guarded_thm1);
       ( "guarded_traced",
         fun () ->
-          Harness.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
+          Obs.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
               measure guarded_thm1) );
-      ( "guarded_metrics",
-        fun () ->
-          Harness.Metrics.enable ();
-          Fun.protect
-            ~finally:(fun () ->
-              Harness.Metrics.disable ();
-              Harness.Metrics.reset ())
-            (fun () -> measure guarded_thm1) );
       ("guarded_flight", fun () -> flight_subject measure);
       ("guarded_stats", fun () -> stats_subject measure);
     ]
@@ -467,13 +458,12 @@ let trace_overhead () =
     subjects;
   let disabled_pct = Float.max 0. (pct "guarded_untraced_control" "guarded_untraced") in
   let traced_pct = pct "guarded_traced" "guarded_untraced" in
-  let metrics_pct = pct "guarded_metrics" "guarded_untraced" in
   let flight_pct = pct "guarded_flight" "guarded_untraced" in
   let stats_pct = pct "guarded_stats" "guarded_untraced" in
   Format.printf
-    "@.tracing disabled: %+.2f%%  traced: %+.2f%%  metrics: %+.2f%%  \
-     flight: %+.2f%%  stats: %+.2f%%@."
-    disabled_pct traced_pct metrics_pct flight_pct stats_pct;
+    "@.tracing disabled: %+.2f%%  traced: %+.2f%%  flight: %+.2f%%  \
+     stats: %+.2f%%@."
+    disabled_pct traced_pct flight_pct stats_pct;
   let results =
     Obs.Json.Obj
       [
@@ -490,7 +480,6 @@ let trace_overhead () =
               ("guard_vs_raw", Obs.Json.Float (pct "guarded_untraced" "raw"));
               ("tracing_disabled", Obs.Json.Float disabled_pct);
               ("tracing_enabled", Obs.Json.Float traced_pct);
-              ("metrics_enabled", Obs.Json.Float metrics_pct);
               ("flight_enabled", Obs.Json.Float flight_pct);
               ("stats_enabled", Obs.Json.Float stats_pct);
             ] );
@@ -865,7 +854,7 @@ let stats_overhead () =
       ("baseline", fun () -> measure guarded_thm1);
       ( "ndjson",
         fun () ->
-          Harness.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
+          Obs.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
               measure guarded_thm1) );
       ("flight", fun () -> flight_subject measure);
       ("stats", fun () -> stats_subject measure);
@@ -1222,10 +1211,33 @@ let canon_memo_render ~memo () =
   let dt = Unix.gettimeofday () -. t0 in
   (dt, Buffer.contents buf)
 
+(* Game-cache hits of one cold memo-on sweep, counted from its
+   [Canon_hit] trace events.  Untimed, and on a fresh domain: the memo
+   tables are per-domain, so this pass starts cold and leaves the caches
+   of the timed passes alone. *)
+let canon_memo_game_hits () =
+  let hits = Atomic.make 0 in
+  Obs.Trace.set_hook
+    (Some
+       (function
+       | Obs.Trace.Canon_hit { kind = "game"; _ } -> Atomic.incr hits
+       | _ -> ()));
+  Fun.protect
+    ~finally:(fun () -> Obs.Trace.set_hook None)
+    (fun () ->
+      Domain.join
+        (Domain.spawn (fun () -> ignore (canon_memo_render ~memo:true ()))));
+  Atomic.get hits
+
+(* greedy and stripes ignore t, so the cold game cache runs each
+   algorithm live once and replays the other eleven t values. *)
+let canon_memo_expected_misses = 2
+
 (* One measurement pass: memo-off (best of [passes]; the caches stay
    untouched, memo-off never reads or writes them), then memo-on cold,
-   then memo-on warm.  Returns (off, cold, warm, hits, misses) after
-   asserting all three outputs byte-equal. *)
+   then memo-on warm, every obs channel off.  Returns (off, cold, warm,
+   hits, misses) after asserting all three outputs byte-equal and the
+   game-cache hit count of an untimed cold pass. *)
 let canon_memo_measure ~passes () =
   ignore (canon_memo_render ~memo:false ());
   let off_t, off_out =
@@ -1236,17 +1248,7 @@ let canon_memo_measure ~passes () =
       (canon_memo_render ~memo:false ())
       (List.init (passes - 1) Fun.id)
   in
-  let metrics_were_on = Obs.Metrics.on () in
-  Obs.Metrics.enable ();
-  ignore (Obs.Metrics.drain ());
   let cold_t, cold_out = canon_memo_render ~memo:true () in
-  let snap = Obs.Metrics.drain () in
-  if not metrics_were_on then Obs.Metrics.disable ();
-  let counter name =
-    match List.assoc_opt name snap.Obs.Metrics.counters with
-    | Some v -> v
-    | None -> 0
-  in
   let warm_t, warm_out = canon_memo_render ~memo:true () in
   List.iter
     (fun (label, out) ->
@@ -1257,7 +1259,16 @@ let canon_memo_measure ~passes () =
               byte-identity contract is broken"
              label))
     [ ("memo-on (cold)", cold_out); ("memo-on (warm)", warm_out) ];
-  (off_t, cold_t, warm_t, counter "canon.game.hit", counter "canon.game.miss")
+  let cells = List.length (canon_memo_cells ~memo:true ()) in
+  let hits = canon_memo_game_hits () in
+  let misses = cells - hits in
+  if misses <> canon_memo_expected_misses then
+    failwith
+      (Printf.sprintf
+         "BENCH canon_memo: cold game cache ran %d live games (%d hits of %d \
+          cells), expected %d"
+         misses hits cells canon_memo_expected_misses);
+  (off_t, cold_t, warm_t, hits, misses)
 
 let canon_memo () =
   let cells = List.length (canon_memo_cells ~memo:false ()) in

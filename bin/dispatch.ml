@@ -34,9 +34,8 @@ let read_specs_file path =
   go []
 
 let run endpoints kind payloads from deadline_ms window max_attempts shard_seed
-    probe_interval_ms trace metrics stats_out flight =
-  Obs_cli.with_observability ~program:"dispatch" ~trace ~metrics ~stats:stats_out
-    ~flight
+    probe_interval_ms trace stats_out flight =
+  Obs_cli.with_observability ~program:"dispatch" ~trace ~stats:stats_out ~flight
   @@ fun () ->
   try
     let specs =
@@ -153,6 +152,6 @@ let cmd =
     Term.(
       const run $ endpoints $ kind $ payloads $ from $ deadline_ms $ window
       $ max_attempts $ shard_seed $ probe_interval_ms $ Obs_cli.trace
-      $ Obs_cli.metrics $ Obs_cli.stats $ Obs_cli.flight)
+      $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

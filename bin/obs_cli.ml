@@ -4,11 +4,10 @@
    Every binary in this directory exposes the same observability flags:
 
      --trace FILE   stream NDJSON trace events to FILE
-     --metrics      print the merged metrics registry after the run
      --stats FILE   write drained streaming stats (JSON) to FILE
      --flight FILE  binary flight-recorder ring, flushed on anomaly
-     --bulk         executor fast path: skip per-step trace/metrics
-                    event construction (verdicts unchanged)
+     --bulk         executor fast path: skip per-step trace event
+                    construction (verdicts unchanged)
 
    and the same execution-backend flags, parsed and validated here so
    "--jobs 0" fails identically everywhere, naming the flag:
@@ -19,9 +18,7 @@
      --kill-grace-ms MS   proc mode: SIGTERM -> SIGKILL escalation gap
      --cell-timeout-ms MS proc mode: per-attempt wall-clock watchdog
 
-   The metrics dump goes to stdout *after* the run's own output, so the
-   CI determinism check can diff the whole stream (results + registry)
-   across --jobs counts.  It is printed even on the interrupted
+   The --stats file is written after the run, even on the interrupted
    (exit 130) path: a Ctrl-C'd sweep still reports what it counted. *)
 
 open Cmdliner
@@ -32,15 +29,6 @@ let trace =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:"Stream NDJSON trace events to $(docv) (see trace_report).")
-
-let metrics =
-  Arg.(
-    value
-    & flag
-    & info [ "metrics" ]
-        ~doc:
-          "Print the merged metrics registry on stdout after the run. \
-           Totals are identical at every --jobs count.")
 
 let stats =
   Arg.(
@@ -70,7 +58,7 @@ let bulk =
     & flag
     & info [ "bulk" ]
         ~doc:
-          "Campaign fast path: skip per-step trace/metrics event \
+          "Campaign fast path: skip per-step trace event \
            construction and the paranoid re-audit inside the game \
            executors.  Results and verdicts are byte-identical with and \
            without $(b,--bulk); only observability detail is elided.")
@@ -86,9 +74,8 @@ let memo =
            lib/canon/README.md).  Result bytes and --stats files are \
            identical with and without $(b,--memo) at every --jobs count, \
            isolation mode, and resume history; caches are per-process \
-           and never checkpointed.  Hit counters (canon.*) are \
-           telemetry: a --memo run's --metrics dump is not \
-           jobs-invariant, so don't byte-diff the two together.")
+           and never checkpointed.  Cache hits are trace events \
+           (canon_hit), not statistics.")
 
 (* ----------------------- execution-backend flags ----------------------- *)
 
@@ -180,22 +167,19 @@ let exec_term =
   in
   Term.(const make $ jobs $ isolate $ retries $ kill_grace_ms $ cell_timeout_ms)
 
-let with_observability ~program ~trace:trace_path ~metrics:want_metrics
-    ?(stats = None) ?(flight = None) f =
-  if want_metrics then Harness.Metrics.enable ();
-  if stats <> None then Harness.Stats.enable ();
+let with_observability ~program ~trace:trace_path ?(stats = None)
+    ?(flight = None) f =
+  if stats <> None then Obs.Stats.enable ();
   let code =
-    Harness.Trace.with_sink_opt ~program trace_path @@ fun () ->
-    Harness.Flight.with_sink_opt ~program flight f
+    Obs.Trace.with_sink_opt ~program trace_path @@ fun () ->
+    Obs.Flight.with_sink_opt ~program flight f
   in
-  if want_metrics then
-    Format.printf "%a" Harness.Metrics.pp (Harness.Metrics.drain ());
   (match stats with
   | None -> ()
   | Some path ->
-      let snap = Harness.Stats.drain () in
+      let snap = Obs.Stats.drain () in
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc
-            (Obs.Json.to_string (Harness.Stats.snapshot_to_json snap));
+            (Obs.Json.to_string (Obs.Stats.snapshot_to_json snap));
           Out_channel.output_char oc '\n'));
   code

@@ -18,7 +18,7 @@ let algorithm_of name t =
   | other -> failwith ("unknown algorithm: " ^ other)
 
 let run list_games game_name algo_name t n paranoid memo max_calls max_work
-    deadline trace metrics stats flight =
+    deadline trace stats flight =
   if list_games then begin
     List.iter
       (fun g -> Format.printf "%-18s %s@." g.Game.name g.Game.description)
@@ -31,7 +31,7 @@ let run list_games game_name algo_name t n paranoid memo max_calls max_work
         Format.printf "unknown game %s; try --list@." game_name;
         1
     | Some g ->
-        Obs_cli.with_observability ~program:"play" ~trace ~metrics ~stats ~flight
+        Obs_cli.with_observability ~program:"play" ~trace ~stats ~flight
         @@ fun () ->
         let d = Harness.Guard.default_limits in
         let limits =
@@ -87,7 +87,7 @@ let cmd =
     Term.(
       const run $ list_games $ game $ algo $ t $ n $ paranoid $ Obs_cli.memo
       $ max_calls $ max_work
-      $ deadline $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats
+      $ deadline $ Obs_cli.trace $ Obs_cli.stats
       $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

@@ -28,8 +28,8 @@ let advertise_ready path socket =
   Sys.rename tmp path
 
 let run socket advertise queue_limit job_timeout_ms journal resume chaos
-    (exec : Obs_cli.exec) trace metrics stats flight =
-  Obs_cli.with_observability ~program:"serve" ~trace ~metrics ~stats ~flight @@ fun () ->
+    (exec : Obs_cli.exec) trace stats flight =
+  Obs_cli.with_observability ~program:"serve" ~trace ~stats ~flight @@ fun () ->
   let config =
     {
       Harness.Server.default_config with
@@ -136,7 +136,7 @@ let cmd =
     (Cmd.info "serve" ~doc:"Resilient job server over a Unix/TCP socket")
     Term.(
       const run $ socket $ advertise $ queue_limit $ job_timeout_ms $ journal $ resume
-      $ chaos $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.metrics
+      $ chaos $ Obs_cli.exec_term $ Obs_cli.trace
       $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

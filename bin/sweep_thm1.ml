@@ -12,7 +12,7 @@
 
 open Cmdliner
 
-let run ts ks sides algos validate checkpoint resume exec trace metrics stats
+let run ts ks sides algos validate checkpoint resume exec trace stats
     flight bulk memo =
   let cells =
     List.concat_map
@@ -30,7 +30,7 @@ let run ts ks sides algos validate checkpoint resume exec trace metrics stats
           (Harness.Sweep.int_axis ~flag:"-k" ks))
       (Harness.Sweep.int_axis ~flag:"-t" ts)
   in
-  Obs_cli.with_observability ~program:"sweep_thm1" ~trace ~metrics ~stats ~flight
+  Obs_cli.with_observability ~program:"sweep_thm1" ~trace ~stats ~flight
   @@ fun () ->
   match
     Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
@@ -71,7 +71,7 @@ let cmd =
     (Cmd.info "sweep_thm1" ~doc:"Theorem 1 adversary sweep")
     Term.(
       const run $ ts $ ks $ sides $ algos $ validate $ checkpoint $ resume
-      $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats
+      $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.stats
       $ Obs_cli.flight $ Obs_cli.bulk $ Obs_cli.memo)
 
 let () = exit (Cmd.eval' cmd)

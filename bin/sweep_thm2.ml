@@ -5,7 +5,7 @@
 
 open Cmdliner
 
-let run sides wraps checkpoint resume exec trace metrics stats flight bulk memo =
+let run sides wraps checkpoint resume exec trace stats flight bulk memo =
   let cells =
     List.concat_map
       (fun wrap ->
@@ -18,7 +18,7 @@ let run sides wraps checkpoint resume exec trace metrics stats flight bulk memo 
           (Harness.Sweep.int_axis ~flag:"--side" sides))
       (Harness.Sweep.string_axis ~flag:"--wrap" wraps)
   in
-  Obs_cli.with_observability ~program:"sweep_thm2" ~trace ~metrics ~stats ~flight
+  Obs_cli.with_observability ~program:"sweep_thm2" ~trace ~stats ~flight
   @@ fun () ->
   match
     Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
@@ -50,7 +50,7 @@ let cmd =
     (Cmd.info "sweep_thm2" ~doc:"Theorem 2 adversary sweep")
     Term.(
       const run $ sides $ wraps $ checkpoint $ resume $ Obs_cli.exec_term
-      $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats $ Obs_cli.flight
+      $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight
       $ Obs_cli.bulk $ Obs_cli.memo)
 
 let () = exit (Cmd.eval' cmd)

@@ -5,7 +5,7 @@
 
 open Cmdliner
 
-let run ks gadget_counts checkpoint resume exec trace metrics stats flight bulk memo =
+let run ks gadget_counts checkpoint resume exec trace stats flight bulk memo =
   let cells =
     List.concat_map
       (fun k ->
@@ -18,7 +18,7 @@ let run ks gadget_counts checkpoint resume exec trace metrics stats flight bulk 
           (Harness.Sweep.int_axis ~flag:"--gadgets" gadget_counts))
       (Harness.Sweep.int_axis ~flag:"-k" ks)
   in
-  Obs_cli.with_observability ~program:"sweep_thm3" ~trace ~metrics ~stats ~flight
+  Obs_cli.with_observability ~program:"sweep_thm3" ~trace ~stats ~flight
   @@ fun () ->
   match
     Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
@@ -49,7 +49,7 @@ let cmd =
     (Cmd.info "sweep_thm3" ~doc:"Theorem 3 adversary sweep")
     Term.(
       const run $ ks $ gadget_counts $ checkpoint $ resume $ Obs_cli.exec_term
-      $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats $ Obs_cli.flight
+      $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight
       $ Obs_cli.bulk $ Obs_cli.memo)
 
 let () = exit (Cmd.eval' cmd)

@@ -13,8 +13,7 @@
 
    dune exec bin/trace_report.exe -- sweep.trace *)
 
-module T = Harness.Trace
-module Mx = Harness.Metrics
+module T = Obs.Trace
 
 (* An open game span on one worker, filled in by Step events until the
    verdict arrives. *)
@@ -77,11 +76,20 @@ let t_of_cell_key key =
          | [ "t"; v ] -> int_of_string_opt v
          | _ -> None)
 
+(* Log2 bucketing for the defeat-step histogram: 0 for values [<= 0],
+   otherwise the bit length — 1 for 1, 2 for 2..3, 3 for 4..7, ... *)
+let bucket_of v =
+  let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
+  if v <= 0 then 0 else bits v 0
+
+(* Smallest value in a bucket: [bucket_lo (bucket_of v) <= v]. *)
+let bucket_lo b = if b <= 0 then 0 else 1 lsl (b - 1)
+
 let pp_buckets ppf buckets =
   Array.iteri
     (fun b n ->
       if n > 0 then
-        let lo = Mx.bucket_lo b in
+        let lo = bucket_lo b in
         let hi = if b = 0 then 0 else (2 * lo) - 1 in
         Format.fprintf ppf "  [%d..%d] %d" lo hi n)
     buckets
@@ -91,7 +99,7 @@ let report path =
      flight recorder's binary frames (--flight), sniffed by first
      byte.  The decoded record stream is identical by construction. *)
   let records =
-    if Harness.Flight.is_flight_file path then Harness.Flight.read_file path
+    if Obs.Flight.is_flight_file path then Obs.Flight.read_file path
     else T.read_file path
   in
   let program, version =
@@ -197,7 +205,7 @@ let report path =
           | Some g ->
               if outcome = "DEFEATED" then begin
                 (* how long the adversary needed: last presentation step *)
-                let b = Mx.bucket_of g.g_steps in
+                let b = bucket_of g.g_steps in
                 st.defeat_buckets.(b) <- st.defeat_buckets.(b) + 1
               end;
               (match g.g_max_calls with

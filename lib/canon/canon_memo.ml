@@ -31,12 +31,8 @@ let cap = 1 lsl 20
 let step_tbl : (string, int) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
 
-let note_hit kind key =
-  if Obs.Metrics.on () then Obs.Metrics.incr ("canon." ^ kind ^ ".hit");
+let note_hit ~kind ~key =
   if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Canon_hit { kind; key })
-
-let note_miss kind =
-  if Obs.Metrics.on () then Obs.Metrics.incr ("canon." ^ kind ^ ".miss")
 
 let find ctx key =
   if not ctx.pure then None
@@ -44,11 +40,9 @@ let find ctx key =
     let tbl = Domain.DLS.get step_tbl in
     match Hashtbl.find_opt tbl key with
     | Some c ->
-        note_hit "step" key;
+        note_hit ~kind:"step" ~key;
         Some c
-    | None ->
-        note_miss "step";
-        None
+    | None -> None
   end
 
 let add ctx key color =
@@ -58,6 +52,4 @@ let add ctx key color =
     Hashtbl.replace tbl key color
   end
 
-let note_hit ~kind ~key = note_hit kind key
-let note_miss ~kind = note_miss kind
 let reset () = Hashtbl.reset (Domain.DLS.get step_tbl)

@@ -28,10 +28,9 @@
     Tables live in {!Domain.DLS} — per domain, per process, never
     checkpointed and never shipped across the supervisor wire.  A
     resumed or process-isolated run starts cold; only wall-clock
-    changes, never output.  Hit/miss counters ([canon.step.hit], ...)
-    are {e telemetry}, exempt from the metrics jobs-invariance contract
-    (hits depend on how cells were packed onto domains); CI never
-    byte-diffs metrics of a [--memo] run. *)
+    changes, never output.  Hits are {e telemetry}: [Canon_hit] trace
+    events, whose count depends on how cells were packed onto domains,
+    so they never enter {!Obs.Stats}. *)
 
 type ctx
 (** Per-run memo context: the chain digest plus the guard charge hook. *)
@@ -66,9 +65,8 @@ val step_key : ctx -> string -> string
     digest of chain + suffix.  Does not advance the chain. *)
 
 val find : ctx -> string -> int option
-(** Cache lookup; bumps [canon.step.hit]/[canon.step.miss] and emits a
-    [Canon_hit] trace event on hit.  Always [None] for impure
-    contexts. *)
+(** Cache lookup; emits a [Canon_hit] trace event on hit.  Always
+    [None] for impure contexts. *)
 
 val add : ctx -> string -> int -> unit
 (** Record an answered color under a step key (no-op when impure). *)
@@ -77,11 +75,9 @@ val charge : ctx -> unit
 (** Invoke the guard charge hook (call exactly once per skipped call). *)
 
 val note_hit : kind:string -> key:string -> unit
-(** Bump [canon.<kind>.hit] and emit a [Canon_hit] trace event — for
-    cache layers that keep their own (typed) tables, e.g. the
-    game-level report cache in [Jobs_catalog]. *)
-
-val note_miss : kind:string -> unit
+(** Emit a [Canon_hit] trace event — for cache layers that keep their
+    own (typed) tables, e.g. the game-level report cache in
+    [Jobs_catalog]. *)
 
 val reset : unit -> unit
 (** Drop this domain's step table (tests). *)

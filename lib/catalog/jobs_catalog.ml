@@ -80,7 +80,6 @@ let thm1_run ?(bulk = false) ?(memo = false) ~validate ~t ~k ~side ~algo () =
           end;
           r
       | None ->
-          Canon.Memo.note_miss ~kind:"game";
           let r = run_live ?memo:(memo_ctx ~memo algorithm) () in
           Hashtbl.replace tbl gkey r;
           r

@@ -35,7 +35,6 @@ type ep = {
   mutable failures : int;  (* consecutive connection failures *)
   mutable open_until : float;  (* circuit breaker: no reconnect before *)
   mutable last_state : string;  (* last traced state, to dedup events *)
-  mutable ever_lost : bool;
   mutable draining : bool;
   mutable depth : int;  (* last probed queued count *)
   mutable inflight : int;  (* unresolved jobs submitted on this conn *)
@@ -124,7 +123,6 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
              failures = 0;
              open_until = 0.;
              last_state = "";
-             ever_lost = false;
              draining = false;
              depth = 0;
              inflight = 0;
@@ -168,17 +166,16 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
   let dead_rounds = ref 0 in
   let reasons = ref [] in  (* degraded reasons, newest first *)
   let add_reason r = if not (List.mem r !reasons) then reasons := r :: !reasons in
-  let metric name = if Metrics.on () then Metrics.incr name in
   let trace_state e state =
     if e.last_state <> state then begin
       e.last_state <- state;
-      if Trace.on () then
-        Trace.emit (Trace.Endpoint_state { endpoint = e.espec; state })
+      if Obs.Trace.on () then
+        Obs.Trace.emit (Obs.Trace.Endpoint_state { endpoint = e.espec; state })
     end
   in
-  if Trace.on () then
-    Trace.emit (Trace.Fleet_start { endpoints = n; jobs = window; shard_seed });
-  metric "fleet.campaigns";
+  if Obs.Trace.on () then
+    Obs.Trace.emit
+      (Obs.Trace.Fleet_start { endpoints = n; jobs = window; shard_seed });
   let live e = e.conn <> None && not e.draining in
   let unsubmit_jobs_of e =
     List.iter
@@ -191,10 +188,6 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
   let breaker_trip e now reason =
     e.failures <- e.failures + 1;
     e.open_until <- now +. Backoff.delay backoff ~key:e.espec ~attempt:e.failures;
-    if not e.ever_lost then begin
-      e.ever_lost <- true;
-      metric "fleet.endpoints_lost"
-    end;
     add_reason (Printf.sprintf "endpoint %s unreachable (%s)" e.espec reason);
     trace_state e "unreachable"
   in
@@ -242,10 +235,7 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
   in
   let submit e j =
     incr total_submits;
-    if !total_submits > List.length jobs then begin
-      incr resubmits;
-      metric "fleet.resubmits"
-    end;
+    if !total_submits > List.length jobs then incr resubmits;
     j.submitted <- true;
     e.inflight <- e.inflight + 1;
     match e.conn with
@@ -271,13 +261,11 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
         | Some _ ->
             (* a second server also answered (failover raced a live
                completion): delivered once, counted here *)
-            incr duplicates;
-            metric "fleet.duplicates"
+            incr duplicates
         | None -> ())
     | 'X' -> (
         let id, reason = split_tab payload in
         incr rejections;
-        metric "fleet.rejections";
         match Hashtbl.find_opt tbl id with
         | Some j when j.result = None ->
             if j.submitted then begin
@@ -340,10 +328,9 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
             jobs;
           if !moved > 0 then begin
             rebalanced := !rebalanced + !moved;
-            metric "fleet.rebalanced";
-            if Trace.on () then
-              Trace.emit
-                (Trace.Rebalance
+            if Obs.Trace.on () then
+              Obs.Trace.emit
+                (Obs.Trace.Rebalance
                    { moved = !moved; src = deep.espec; dst = shallow.espec })
           end
         end
@@ -396,10 +383,9 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
             (match (target_live, pick_target j) with
             | false, Some t when t <> j.target ->
                 incr failovers;
-                metric "fleet.failovers";
-                if Trace.on () then
-                  Trace.emit
-                    (Trace.Failover
+                if Obs.Trace.on () then
+                  Obs.Trace.emit
+                    (Obs.Trace.Failover
                        {
                          id = j.id;
                          src = eps.(j.target).espec;
@@ -484,9 +470,9 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
   let verdict =
     match !reasons with [] -> `Full | rs -> `Degraded (List.rev rs)
   in
-  if Trace.on () then
-    Trace.emit
-      (Trace.Fleet_verdict
+  if Obs.Trace.on () then
+    Obs.Trace.emit
+      (Obs.Trace.Fleet_verdict
          {
            verdict = verdict_to_string verdict;
            results = List.length results;

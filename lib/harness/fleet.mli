@@ -88,8 +88,7 @@ val run_campaign :
     {!Client.run_campaign}.
 
     Emits [fleet_start] / [endpoint_state] / [failover] / [rebalance] /
-    [fleet_verdict] trace events and [fleet.*] metrics when
-    observability is on.
+    [fleet_verdict] trace events when tracing is on.
 
     @raise Invalid_argument on an empty or duplicated endpoint list, or
     an invalid parameter.

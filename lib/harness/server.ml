@@ -157,11 +157,11 @@ type stats = {
 (* -------------------------- process children -------------------------- *)
 
 let child_main ~handler ~(job : job) w =
-  Trace.detach_in_child ();
+  Obs.Trace.detach_in_child ();
   (* Drop the stats shards inherited from the parent image: what this
      child drains into its 'S' frame must be this job's own
      contribution, nothing more. *)
-  Stats.reset ();
+  Obs.Stats.reset ();
   Sys.set_signal Sys.sigterm Sys.Signal_default;
   Sys.set_signal Sys.sigint Sys.Signal_default;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -175,10 +175,10 @@ let child_main ~handler ~(job : job) w =
          stashes the snapshot and only counts it once the same
          attempt's 'R' lands (a child dying in between is retried and
          the stale snapshot dies with its child record). *)
-      (if Stats.on () then
-         match Stats.drain () with
+      (if Obs.Stats.on () then
+         match Obs.Stats.drain () with
          | [] -> ()
-         | snap -> reply 'S' (Stats.to_string snap));
+         | snap -> reply 'S' (Obs.Stats.to_string snap));
       reply 'R' r
   | exception exn ->
       (* Contained in the child: no job, however pathological, takes the
@@ -208,7 +208,6 @@ let run ?(config = default_config) ?journal ?(resume = false)
       chaos_injected = 0;
     }
   in
-  let metric name = if Metrics.on () then Metrics.incr name in
   (* chaos schedule: a splitmix stream off the chaos seed *)
   let rng_state =
     ref (Int64.mul (Int64.of_int (match config.chaos with
@@ -223,8 +222,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
   in
   let chaos_fire kind =
     stats.chaos_injected <- stats.chaos_injected + 1;
-    metric ("server.chaos." ^ kind);
-    if Trace.on () then Trace.emit (Trace.Chaos_injected { kind })
+    if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Chaos_injected { kind })
   in
   (* ------------------------------ jobs ------------------------------ *)
   let jobs_tbl : (string, job) Hashtbl.t = Hashtbl.create 64 in
@@ -354,8 +352,8 @@ let run ?(config = default_config) ?journal ?(resume = false)
       conn.closed <- true;
       Hashtbl.remove conns conn.cid;
       (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-      if Trace.on () then
-        Trace.emit (Trace.Conn_close { conn = conn.cid; reason })
+      if Obs.Trace.on () then
+        Obs.Trace.emit (Obs.Trace.Conn_close { conn = conn.cid; reason })
     end
   in
   (* enqueue bytes on a connection, through the chaos harness *)
@@ -409,8 +407,8 @@ let run ?(config = default_config) ?journal ?(resume = false)
     | "error" -> stats.errors <- stats.errors + 1
     | "quarantined" -> stats.quarantined <- stats.quarantined + 1
     | _ -> ());
-    metric "server.completed";
-    if Trace.on () then Trace.emit (Trace.Job_done { id = job.id; status });
+    if Obs.Trace.on () then
+      Obs.Trace.emit (Obs.Trace.Job_done { id = job.id; status });
     List.iter
       (fun cid ->
         match Hashtbl.find_opt conns cid with
@@ -425,8 +423,9 @@ let run ?(config = default_config) ?journal ?(resume = false)
   let retry_queue : (float * job) list ref = ref [] in
   let schedule_retry job =
     let delay = Backoff.delay config.backoff ~key:job.id ~attempt:job.attempts in
-    if Trace.on () then
-      Trace.emit (Trace.Cell_retry { key = job.id; attempt = job.attempts; delay });
+    if Obs.Trace.on () then
+      Obs.Trace.emit
+        (Obs.Trace.Cell_retry { key = job.id; attempt = job.attempts; delay });
     let due = Unix.gettimeofday () +. delay in
     let rec insert = function
       | [] -> [ (due, job) ]
@@ -439,8 +438,8 @@ let run ?(config = default_config) ?journal ?(resume = false)
     job.state <- Running;
     let attempt = job.attempts in
     job.attempts <- attempt + 1;
-    if Trace.on () then Trace.emit (Trace.Job_start { id = job.id; attempt });
-    metric "server.job_starts";
+    if Obs.Trace.on () then
+      Obs.Trace.emit (Obs.Trace.Job_start { id = job.id; attempt });
     let r, w = Unix.pipe () in
     match Unix.fork () with
     | 0 ->
@@ -522,7 +521,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
     match ch.reply with
     | Some ('R', r) ->
         let stats_delta = Option.value ch.cstats ~default:"" in
-        if stats_delta <> "" then ignore (Stats.absorb_string stats_delta);
+        if stats_delta <> "" then ignore (Obs.Stats.absorb_string stats_delta);
         complete ~stats_delta job (status_of_result r) r
     | Some ('E', msg) -> complete job "error" ("ERROR: " ^ msg)
     | Some _ -> assert false
@@ -575,7 +574,6 @@ let run ?(config = default_config) ?journal ?(resume = false)
           end
           else begin
             stats.retries <- stats.retries + 1;
-            metric "server.retries";
             job.state <- Queued;
             schedule_retry job
           end
@@ -600,14 +598,12 @@ let run ?(config = default_config) ?journal ?(resume = false)
           | Some l when ch.term_at = None && now -. ch.started > l ->
               ch.timed_out <- true;
               ch.term_at <- Some now;
-              kill_pid ch.pid Sys.sigterm;
-              metric "server.kills.term"
+              kill_pid ch.pid Sys.sigterm
           | _ -> ());
           match ch.term_at with
           | Some t when (not ch.killed) && now -. t > config.kill_grace ->
               ch.killed <- true;
-              kill_pid ch.pid Sys.sigkill;
-              metric "server.kills.kill"
+              kill_pid ch.pid Sys.sigkill
           | _ -> ()
         end)
       !children
@@ -630,15 +626,17 @@ let run ?(config = default_config) ?journal ?(resume = false)
       match job with
       | None -> continue := false
       | Some job ->
-          if Trace.on () then
-            Trace.emit (Trace.Job_start { id = job.id; attempt = 0 });
-          if Metrics.on () then Metrics.incr "server.job_starts";
+          if Obs.Trace.on () then
+            Obs.Trace.emit (Obs.Trace.Job_start { id = job.id; attempt = 0 });
           let status, result, stats_delta =
-            (* [Stats.scoped] merges the job's contribution into this
+            (* [Obs.Stats.scoped] merges the job's contribution into this
                domain's shard and hands back the delta for the journal
                — the same per-job persistence the 'S' frame gives the
                process backend. *)
-            match Stats.scoped (fun () -> handler ~kind:job.kind ~payload:job.payload) with
+            match
+              Obs.Stats.scoped (fun () ->
+                  handler ~kind:job.kind ~payload:job.payload)
+            with
             | r, delta -> (status_of_result r, r, delta)
             | exception exn -> ("error", "ERROR: " ^ Printexc.to_string exn, "")
           in
@@ -753,14 +751,13 @@ let run ?(config = default_config) ?journal ?(resume = false)
               | _ -> false
             in
             let submit_trace disposition =
-              if Trace.on () then
-                Trace.emit (Trace.Job_submit { id; kind; disposition })
+              if Obs.Trace.on () then
+                Obs.Trace.emit (Obs.Trace.Job_submit { id; kind; disposition })
             in
             match Hashtbl.find_opt jobs_tbl id with
             | Some ({ state = Finished { result; _ }; _ } as job) ->
                 submit_trace "cached";
                 stats.dedup_cached <- stats.dedup_cached + 1;
-                metric "server.dedup.cached";
                 if not (chaos_drop ()) then begin
                   send conn (Wire.encode ~tag:'A' id);
                   send_result conn job result
@@ -768,17 +765,15 @@ let run ?(config = default_config) ?journal ?(resume = false)
             | Some job ->
                 submit_trace "inflight";
                 stats.dedup_inflight <- stats.dedup_inflight + 1;
-                metric "server.dedup.inflight";
                 if not (List.mem conn.cid job.waiters) then
                   job.waiters <- conn.cid :: job.waiters;
                 if not (chaos_drop ()) then send conn (Wire.encode ~tag:'A' id)
             | None ->
                 if !draining then begin
                   stats.rejected <- stats.rejected + 1;
-                  metric "server.rejected";
-                  if Trace.on () then
-                    Trace.emit
-                      (Trace.Job_reject
+                  if Obs.Trace.on () then
+                    Obs.Trace.emit
+                      (Obs.Trace.Job_reject
                          {
                            id;
                            queued = queued_count ();
@@ -788,10 +783,9 @@ let run ?(config = default_config) ?journal ?(resume = false)
                 end
                 else if queued_count () >= config.queue_limit then begin
                   stats.rejected <- stats.rejected + 1;
-                  metric "server.rejected";
-                  if Trace.on () then
-                    Trace.emit
-                      (Trace.Job_reject
+                  if Obs.Trace.on () then
+                    Obs.Trace.emit
+                      (Obs.Trace.Job_reject
                          {
                            id;
                            queued = queued_count ();
@@ -820,7 +814,6 @@ let run ?(config = default_config) ?journal ?(resume = false)
                   enqueue_job job;
                   submit_trace "new";
                   stats.accepted <- stats.accepted + 1;
-                  metric "server.accepted";
                   if chaos_drop () then () else send conn (Wire.encode ~tag:'A' id)
                 end))
   in
@@ -936,7 +929,6 @@ let run ?(config = default_config) ?journal ?(resume = false)
                       in
                       Hashtbl.replace jobs_tbl id job;
                       stats.recovered <- stats.recovered + 1;
-                      metric "server.recovered";
                       (match Hashtbl.find_opt done_tbl id with
                       | Some value ->
                           (* strip the stats delta (absorbed into this
@@ -965,9 +957,9 @@ let run ?(config = default_config) ?journal ?(resume = false)
     Option.iter (fun b -> Sys.set_signal Sys.sigint b) prev_int;
     Option.iter (fun b -> Sys.set_signal Sys.sigpipe b) prev_pipe
   in
-  if Trace.on () then
-    Trace.emit
-      (Trace.Server_start
+  if Obs.Trace.on () then
+    Obs.Trace.emit
+      (Obs.Trace.Server_start
          { socket; jobs = config.jobs; queue_limit = config.queue_limit });
   (* ---------------------------- main loop ---------------------------- *)
   let chunk = Bytes.create 4096 in
@@ -1036,8 +1028,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
         in
         Hashtbl.replace conns cid conn;
         stats.conns_opened <- stats.conns_opened + 1;
-        metric "server.conns";
-        if Trace.on () then Trace.emit (Trace.Conn_open { conn = cid })
+        if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Conn_open { conn = cid })
     | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
       ->
         ()
@@ -1077,11 +1068,10 @@ let run ?(config = default_config) ?journal ?(resume = false)
          accepted, rerun on restart *)
       List.iter (fun (_, job) -> job.state <- Queued) !retry_queue;
       retry_queue := [];
-      if Trace.on () then
-        Trace.emit
-          (Trace.Server_drain
+      if Obs.Trace.on () then
+        Obs.Trace.emit
+          (Obs.Trace.Server_drain
              { queued = queued_count (); running = running_count () });
-      metric "server.drains";
       match config.isolation with
       | `In_domain ->
           Mutex.protect dmutex (fun () -> dstop := true);

@@ -100,11 +100,11 @@ let heartbeat_byte = Bytes.of_string "H"
    [Unix._exit] (not [exit]) so inherited channel buffers — the parent's
    trace sink, the parent's stdout — are not flushed a second time. *)
 let child_main ~config ~work ~idx w =
-  Trace.detach_in_child ();
+  Obs.Trace.detach_in_child ();
   (* Inherited shards would make the child's stats drain re-count the
      parent's whole history; from here on the child accumulates only its
      own cell. *)
-  Stats.reset ();
+  Obs.Stats.reset ();
   Sys.set_signal Sys.sigint Sys.Signal_default;
   if config.heartbeat_interval > 0 then begin
     Sys.set_signal Sys.sigalrm
@@ -126,10 +126,10 @@ let child_main ~config ~work ~idx w =
   let code =
     match work idx with
     | s ->
-        (if Stats.on () then
-           match Stats.drain () with
+        (if Obs.Stats.on () then
+           match Obs.Stats.drain () with
            | [] -> ()
-           | snap -> reply 'S' (Stats.to_string snap));
+           | snap -> reply 'S' (Obs.Stats.to_string snap));
         reply 'R' s;
         0
     | exception Sys.Break -> 130
@@ -166,7 +166,7 @@ type slot = {
 
 let run ?(config = default_config) ?(should_stop = fun () -> false) ~jobs
     ~tasks ~key ?(inline = fun _ -> None) ~work
-    ?(on_stats = fun ~task:_ payload -> ignore (Stats.absorb_string payload))
+    ?(on_stats = fun ~task:_ payload -> ignore (Obs.Stats.absorb_string payload))
     ?(complete = fun _ _ -> ()) ~consume () =
   validate_config config;
   if jobs < 1 then invalid_arg "Supervisor.run: jobs must be >= 1";
@@ -203,9 +203,8 @@ let run ?(config = default_config) ?(should_stop = fun () -> false) ~jobs
         child_main ~config ~work ~idx w
     | pid ->
         Unix.close w;
-        if Trace.on () then
-          Trace.emit (Trace.Child_spawn { key = skey; pid; attempt });
-        if Metrics.on () then Metrics.incr "supervisor.spawns";
+        if Obs.Trace.on () then
+          Obs.Trace.emit (Obs.Trace.Child_spawn { key = skey; pid; attempt });
         active :=
           {
             pid;
@@ -253,10 +252,9 @@ let run ?(config = default_config) ?(should_stop = fun () -> false) ~jobs
         match Wire.decode slot.dec with
         | Ok None -> ()
         | Ok (Some { Wire.tag = 'H'; _ }) ->
-            if Trace.on () then
-              Trace.emit
-                (Trace.Child_heartbeat { key = slot.skey; pid = slot.pid });
-            if Metrics.on () then Metrics.incr "supervisor.heartbeats";
+            if Obs.Trace.on () then
+              Obs.Trace.emit
+                (Obs.Trace.Child_heartbeat { key = slot.skey; pid = slot.pid });
             again := true
         | Ok (Some { Wire.tag = 'S'; payload }) ->
             slot.stats <- Some payload;
@@ -272,9 +270,9 @@ let run ?(config = default_config) ?(should_stop = fun () -> false) ~jobs
   in
   let send_kill slot signal name now =
     kill_pid slot.pid signal name;
-    if Trace.on () then
-      Trace.emit
-        (Trace.Child_kill
+    if Obs.Trace.on () then
+      Obs.Trace.emit
+        (Obs.Trace.Child_kill
            {
              key = slot.skey;
              pid = slot.pid;
@@ -301,9 +299,9 @@ let run ?(config = default_config) ?(should_stop = fun () -> false) ~jobs
       | Unix.WSIGNALED s -> "signal:" ^ signal_name s
       | Unix.WSTOPPED s -> "stopped:" ^ signal_name s
     in
-    if Trace.on () then
-      Trace.emit
-        (Trace.Child_exit
+    if Obs.Trace.on () then
+      Obs.Trace.emit
+        (Obs.Trace.Child_exit
            { key = slot.skey; pid = slot.pid; status = status_str; cpu_user; cpu_sys });
     active := List.filter (fun s -> s != slot) !active;
     match slot.reply with
@@ -338,9 +336,9 @@ let run ?(config = default_config) ?(should_stop = fun () -> false) ~jobs
           in
           (match to_misbehavior failure with
           | Some m ->
-              if Trace.on () then
-                Trace.emit
-                  (Trace.Misbehavior
+              if Obs.Trace.on () then
+                Obs.Trace.emit
+                  (Obs.Trace.Misbehavior
                      { label = Misbehavior.label m; detail = Misbehavior.to_string m })
           | None -> ());
           let fails =
@@ -353,23 +351,22 @@ let run ?(config = default_config) ?(should_stop = fun () -> false) ~jobs
             let q =
               { key = slot.skey; attempts = nfails; failures = List.rev fails }
             in
-            if Trace.on () then
-              Trace.emit
-                (Trace.Cell_quarantined
+            if Obs.Trace.on () then
+              Obs.Trace.emit
+                (Obs.Trace.Cell_quarantined
                    {
                      key = slot.skey;
                      attempts = nfails;
                      reason = failure_to_string failure;
                    });
-            if Metrics.on () then Metrics.incr "supervisor.quarantines";
             deliver slot.idx (Quarantined q)
           end
           else begin
             let attempt = nfails in
             let delay = backoff_delay config slot.skey attempt in
-            if Trace.on () then
-              Trace.emit (Trace.Cell_retry { key = slot.skey; attempt; delay });
-            if Metrics.on () then Metrics.incr "supervisor.retries";
+            if Obs.Trace.on () then
+              Obs.Trace.emit
+                (Obs.Trace.Cell_retry { key = slot.skey; attempt; delay });
             let due = Unix.gettimeofday () +. delay in
             let rec insert = function
               | [] -> [ (due, slot.idx, attempt) ]
@@ -388,14 +385,12 @@ let run ?(config = default_config) ?(should_stop = fun () -> false) ~jobs
           | Some limit when slot.term_at = None && now -. slot.start > limit ->
               slot.timed_out <- true;
               slot.term_at <- Some now;
-              send_kill slot Sys.sigterm "sigterm" now;
-              if Metrics.on () then Metrics.incr "supervisor.kills.term"
+              send_kill slot Sys.sigterm "sigterm" now
           | _ -> ());
           match slot.term_at with
           | Some t when (not slot.killed) && now -. t > config.kill_grace ->
               slot.killed <- true;
-              send_kill slot Sys.sigkill "sigkill" now;
-              if Metrics.on () then Metrics.incr "supervisor.kills.kill"
+              send_kill slot Sys.sigkill "sigkill" now
           | _ -> ()
         end)
       !active

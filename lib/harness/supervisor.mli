@@ -53,19 +53,15 @@
 
     Child lifecycle is emitted through {!Obs.Trace} ([Child_spawn],
     [Child_heartbeat], [Child_kill], [Child_exit] with exit status and
-    CPU rusage from [Unix.times], [Cell_retry], [Cell_quarantined]) and
-    {!Obs.Metrics} ([supervisor.spawns], [supervisor.heartbeats],
-    [supervisor.kills.term], [supervisor.kills.kill],
-    [supervisor.retries], [supervisor.quarantines]).  Unlike the sweep
-    metrics, [supervisor.heartbeats] is timing-dependent and therefore
-    {e not} jobs-count-invariant; the others are invariant on a run with
-    no kills.  Children detach the trace sink first thing after the fork
-    ({!Obs.Trace.detach_in_child}) and reset the inherited {!Obs.Stats}
-    shards ({!Obs.Stats.reset}), so game-level events from inside a
-    cell are not traced under process isolation — the cost of the
-    stronger containment — while stats survive the boundary: a child
-    drains its own registry into a framed ['S'] snapshot that the
-    parent re-absorbs (see [on_stats] below). *)
+    CPU rusage from [Unix.times], [Cell_retry], [Cell_quarantined]).
+    These depend on jobs, isolation and timing, so they are trace
+    events only, never {!Obs.Stats} series.  Children detach the trace
+    sink first thing after the fork ({!Obs.Trace.detach_in_child}) and
+    reset the inherited {!Obs.Stats} shards ({!Obs.Stats.reset}), so
+    game-level events from inside a cell are not traced under process
+    isolation — the cost of the stronger containment — while stats
+    survive the boundary: a child drains its own registry into a framed
+    ['S'] snapshot that the parent re-absorbs (see [on_stats] below). *)
 
 type config = {
   retries : int;

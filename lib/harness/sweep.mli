@@ -23,9 +23,9 @@
     {- {e deterministic replay} — [--resume] output is byte-identical
        whatever [jobs] was on the original or the resuming run (replayed
        results come from the checkpoint table, never from re-execution);}
-    {- {e stats persistence} — when {!Stats} is enabled, each record's
+    {- {e stats persistence} — when {!Obs.Stats} is enabled, each record's
        value carries the cell's own stats contribution after a [NUL]
-       byte ({!Stats.scoped} in-domain, the supervisor's ['S'] frame
+       byte ({!Obs.Stats.scoped} in-domain, the supervisor's ['S'] frame
        under [`Process]); replaying a cell re-absorbs its delta, so a
        killed-and-resumed sweep drains the same totals as an
        uninterrupted one.  With stats disabled the journal bytes are
@@ -137,7 +137,7 @@ val split_delta : string -> string * string
     journal) splits as [(value, "")]. *)
 
 val replay_value : string -> string
-(** {!split_delta}, absorbing the delta into {!Stats} (when enabled)
+(** {!split_delta}, absorbing the delta into {!Obs.Stats} (when enabled)
     and returning the output part — the one-stop replay helper for
     journal records. *)
 

@@ -158,10 +158,6 @@ let present t v =
            max_view = t.max_view;
          })
   end;
-  if (not t.bulk) && Obs.Metrics.on () then begin
-    Obs.Metrics.incr "fixed_host.presented";
-    Obs.Metrics.add "fixed_host.revealed" (List.length new_nodes)
-  end;
   let target = t.handle_of_host.(v) in
   (* Memo: fold the step's full observable delta (each fresh node's id
      and hint enter the chain exactly once, when the node enters the
@@ -252,11 +248,6 @@ let audit t =
              | None -> ""
              | Some v -> Format.asprintf "%a" Run_stats.pp_violation v);
          });
-  if (not t.bulk) && Obs.Metrics.on () then begin
-    Obs.Metrics.observe "fixed_host.run.presented" t.steps;
-    Obs.Metrics.observe "fixed_host.run.max_view" t.max_view;
-    Obs.Metrics.gauge_max "fixed_host.max_view" t.max_view
-  end;
   if Obs.Stats.on () then begin
     Obs.Stats.observe "fixed_host.presented" t.steps;
     Obs.Stats.observe "fixed_host.revealed" (Dyn_graph.n t.region);

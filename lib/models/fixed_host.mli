@@ -20,7 +20,7 @@
     read, presented-twice detection a dense byte set: both O(1) and
     allocation-free.  Per step the executor allocates only the fresh
     handle list, the view closure record, and (unless [~bulk]) the
-    trace/metrics events.  See [lib/online_local/README.md]. *)
+    trace events.  See [lib/online_local/README.md]. *)
 
 type t
 (** A running execution (host, algorithm instance, revealed region). *)
@@ -37,7 +37,7 @@ val start :
   unit ->
   t
 (** Create an execution.  [bulk] (default [false]) skips per-step trace
-    and metrics event construction on the hot path — it never changes
+    event construction on the hot path — it never changes
     colors, violations, or the audited outcome, only observability.
     [memo] enables the {!Canon.Memo} step cache: the host adjacency,
     ids, hints and every answer are folded into the context's chain

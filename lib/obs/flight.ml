@@ -538,8 +538,6 @@ let flush_ring s r =
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () -> Buffer.output_buffer oc out);
-        Metrics.incr "flight.flushes";
-        Metrics.add "flight.flush_records" (r.next - first);
         r.flushed <- r.next
       end)
 

@@ -1,14 +1,15 @@
 (** Streaming campaign statistics: mergeable per-series accumulators —
     count, mean, variance, min/max, and an HDR-style quantile sketch —
-    {e sharded per domain} like {!Metrics} and merged at {!drain}.
+    {e sharded per domain} and merged at {!drain}.
 
     The OnlineStats idiom: every series is O(1) memory however many
     observations it absorbs, and two partial accumulators merge with
     Chan's parallel identities (counts and sums add, the cross term of
-    the variance falls out of the exact sums).  The registry is the
-    campaign-scale companion to {!Metrics}: where a counter answers
-    "how many", a stats series answers "how were they distributed" —
-    still at one atomic load per call when disabled.
+    the variance falls out of the exact sums).  One series answers both
+    "how many" (its count) and "how were they distributed" (its sketch),
+    at one atomic load per call when disabled.  It is the repo's only
+    registry of deterministic counts; jobs-, isolation- and
+    timing-dependent counts are {!Trace} events.
 
     {2 Determinism contract}
 

@@ -32,7 +32,7 @@
     parallel sweep is still one valid NDJSON stream, in [i] order, with
     [ts] monotone in [i].  Event {e interleaving} across
     domains follows completion order and is not deterministic; determinism
-    lives in {!Metrics}, whose merged totals are jobs-count-invariant.
+    lives in {!Stats}, whose drained snapshot is jobs-count-invariant.
 
     The first record of every trace is a {!Trace_header} carrying the
     format version ({!version}) and the emitting program's name. *)

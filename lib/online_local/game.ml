@@ -1,8 +1,7 @@
 module G = Harness.Guard
 module M = Harness.Misbehavior
-module Tr = Harness.Trace
-module Mx = Harness.Metrics
-module St = Harness.Stats
+module Tr = Obs.Trace
+module St = Obs.Stats
 
 type outcome =
   | Defeated
@@ -47,14 +46,6 @@ let outcome_label = function
   | Survived -> "survived"
   | Algorithm_fault m -> "ALGORITHM-FAULT (" ^ M.label m ^ ")"
   | Adversary_fault m -> "ADVERSARY-FAULT (" ^ M.label m ^ ")"
-
-(* Metric-name-safe outcome tag (no parentheses, no per-certificate
-   cardinality, so totals merge across fault variants). *)
-let outcome_tag = function
-  | Defeated -> "defeated"
-  | Survived -> "survived"
-  | Algorithm_fault _ -> "algorithm-fault"
-  | Adversary_fault _ -> "adversary-fault"
 
 let pp_verdict ppf v =
   Format.fprintf ppf "@[<v>%s vs %s (n=%d): %s%s@,%s@]" v.adversary v.algorithm v.n
@@ -117,18 +108,11 @@ let referee ?(limits = G.default_limits) ?memo ~adversary ~n ~guaranteed algorit
            color_calls = G.color_calls guard;
            work = G.work guard;
          });
-  if Mx.on () then begin
-    Mx.incr ("game.outcome." ^ outcome_tag outcome);
-    Mx.incr ("game.played." ^ adversary);
-    (* Guard-meter totals accumulate here, once per game — never in
-       [Guard.tick], which is far too hot to meter. *)
-    Mx.add "guard.color_calls" (G.color_calls guard);
-    Mx.add "guard.work" (G.work guard)
-  end;
   if St.on () then begin
-    (* Per-game distributions, once per verdict like the metric totals
-       above.  Only guard meters and sizes — deterministic values, per
-       the Stats jobs-invariance contract. *)
+    (* Per-game distributions, once per verdict — never in
+       [Guard.tick], which is far too hot to meter.  Only guard meters
+       and sizes: deterministic values, per the Stats jobs-invariance
+       contract. *)
     St.observe "game.color_calls" (G.color_calls guard);
     St.observe "game.work" (G.work guard);
     St.observe ("game.n." ^ adversary) n

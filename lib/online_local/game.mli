@@ -53,7 +53,7 @@ type t = {
           Theorem 1 transcript through {!Virtual_grid.validate}; an audit
           failure surfaces as {!Adversary_fault} with a
           [Dishonest_transcript] certificate.  [~bulk:true] is the
-          campaign fast path: per-step trace/metrics event construction
+          campaign fast path: per-step trace event construction
           is skipped in the executors and the paranoid re-audit is
           forced off.  Bulk cannot change the verdict — it only elides
           observability work whose inputs are already determined by the

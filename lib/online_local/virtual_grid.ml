@@ -14,7 +14,7 @@ type t = {
   palette : int;
   n_total : int;
   radius : int;
-  bulk : bool;  (* skip per-step trace/metrics event construction *)
+  bulk : bool;  (* skip per-step trace event construction *)
   memo : Canon.Memo.ctx option;
   region : Grid_graph.Dyn_graph.t;
   mutable coords : int array;  (* handle -> current packed frame coords *)
@@ -211,11 +211,6 @@ let present t f ~row ~col =
               count is also the largest view so far *)
            max_view = Grid_graph.Dyn_graph.n t.region;
          })
-  end;
-  if (not t.bulk) && Obs.Metrics.on () then begin
-    Obs.Metrics.incr "virtual_grid.presented";
-    Obs.Metrics.add "virtual_grid.revealed" (List.length new_nodes);
-    Obs.Metrics.gauge_max "virtual_grid.max_view" (Grid_graph.Dyn_graph.n t.region)
   end;
   (* Memo: the chain digest is a complete fingerprint of the observable
      history, so a key hit means the algorithm would see the very same

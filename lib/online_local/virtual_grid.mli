@@ -55,7 +55,7 @@ val create :
 (** [radius] is the ball radius revealed per presentation (the
     algorithm's locality, plus its oracle radius if any — the built-in
     algorithms attacked here carry none).  [bulk] (default [false])
-    skips per-step trace and metrics event construction; it cannot
+    skips per-step trace event construction; it cannot
     change colors, violations, or honesty checks.  [memo] enables the
     step cache: every observable input (presentations, merges,
     reflections) and every answer is folded into the context's chain

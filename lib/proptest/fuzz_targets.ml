@@ -322,64 +322,6 @@ let sweep_resume =
   }
 
 (* ------------------------------------------------------------------ *)
-(* metrics-jobs                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let metrics_jobs =
-  let gen = Gen.list ~min_len:1 ~max_len:8 (Gen.int_range 0 50) in
-  let print ws =
-    Printf.sprintf "workloads=[%s]"
-      (String.concat ";" (List.map string_of_int ws))
-  in
-  let run_once ~jobs workloads =
-    Harness.Metrics.enable ();
-    Harness.Metrics.reset ();
-    Fun.protect
-      ~finally:(fun () ->
-        Harness.Metrics.disable ();
-        Harness.Metrics.reset ())
-      (fun () ->
-        let cells =
-          List.mapi
-            (fun i w ->
-              {
-                Harness.Sweep.key = Printf.sprintf "w-%d" i;
-                run =
-                  (fun () ->
-                    Harness.Metrics.incr "fuzz.cells";
-                    Harness.Metrics.add "fuzz.work" w;
-                    Harness.Metrics.observe "fuzz.load" w;
-                    Printf.sprintf "w=%d" w);
-              })
-            workloads
-        in
-        let out = render ~jobs cells in
-        let snap = Harness.Metrics.drain () in
-        (out, Format.asprintf "%a" Harness.Metrics.pp snap))
-  in
-  let prop workloads =
-    let out1, snap1 = run_once ~jobs:1 workloads in
-    let out2, snap2 = run_once ~jobs:2 workloads in
-    String.equal out1 out2 && String.equal snap1 snap2
-  in
-  {
-    name = "metrics-jobs";
-    doc =
-      "Sweep output and drained metrics registry byte-identical at --jobs 1 \
-       vs --jobs 2";
-    serial = true (* owns the process-global metrics registry *);
-    max_cases = Some 40;
-    available =
-      (fun () ->
-        if Harness.Metrics.on () then
-          Error
-            "metrics registry already enabled (run without --metrics to fuzz \
-             this target)"
-        else Ok ());
-    packed = Packed { gen; print; prop };
-  }
-
-(* ------------------------------------------------------------------ *)
 (* stats-merge                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -400,12 +342,12 @@ let stats_merge =
             cells))
   in
   let with_stats f =
-    Harness.Stats.enable ();
-    Harness.Stats.reset ();
+    Obs.Stats.enable ();
+    Obs.Stats.reset ();
     Fun.protect
       ~finally:(fun () ->
-        Harness.Stats.disable ();
-        Harness.Stats.reset ())
+        Obs.Stats.disable ();
+        Obs.Stats.reset ())
       f
   in
   let run_once ~jobs cells_values =
@@ -417,15 +359,15 @@ let stats_merge =
             Harness.Sweep.key = Printf.sprintf "s-%d" i;
             run =
               (fun () ->
-                List.iter (fun v -> Harness.Stats.observe "fuzz.value" v) vs;
-                Harness.Stats.observe "fuzz.cell_len" (List.length vs);
+                List.iter (fun v -> Obs.Stats.observe "fuzz.value" v) vs;
+                Obs.Stats.observe "fuzz.cell_len" (List.length vs);
                 Printf.sprintf "n=%d" (List.length vs));
           })
         cells_values
     in
     let out = render ~jobs cells in
-    let snap = Harness.Stats.drain () in
-    (out, Harness.Stats.to_string snap, Format.asprintf "%a" Harness.Stats.pp snap)
+    let snap = Obs.Stats.drain () in
+    (out, Obs.Stats.to_string snap, Format.asprintf "%a" Obs.Stats.pp snap)
   in
   let prop cells_values =
     (* Jobs-invariance of the drained registry, down to the bytes of
@@ -441,14 +383,14 @@ let stats_merge =
       List.map
         (fun vs ->
           let (), d =
-            Harness.Stats.scoped (fun () ->
-                List.iter (fun v -> Harness.Stats.observe "fuzz.value" v) vs)
+            Obs.Stats.scoped (fun () ->
+                List.iter (fun v -> Obs.Stats.observe "fuzz.value" v) vs)
           in
           if d = "" then []
-          else match Harness.Stats.of_string d with Ok s -> s | Error _ -> [])
+          else match Obs.Stats.of_string d with Ok s -> s | Error _ -> [])
         cells_values
     in
-    let merge = Harness.Stats.merge in
+    let merge = Obs.Stats.merge in
     let commutative =
       match deltas with
       | a :: b :: _ -> merge a b = merge b a
@@ -468,7 +410,7 @@ let stats_merge =
     max_cases = Some 40;
     available =
       (fun () ->
-        if Harness.Stats.on () then
+        if Obs.Stats.on () then
           Error
             "stats registry already enabled (run without --stats to fuzz this \
              target)"
@@ -1014,7 +956,6 @@ let all =
     thm3_game;
     sweep_resume;
     sweep_kill;
-    metrics_jobs;
     stats_merge;
     wire_codec;
     view_incremental;

@@ -271,8 +271,8 @@ let test_fault_matrix () =
       check_string (Printf.sprintf "%s x %s" eg ef) eo ao)
     expected_matrix actual
 
-(* The bulk contract: the executor fast path elides per-step trace and
-   metrics events and the paranoid re-audit, and changes nothing else.
+(* The bulk contract: the executor fast path elides per-step trace
+   events and the paranoid re-audit, and changes nothing else.
    Quantified here over the whole E7 matrix — every game crossed with
    every fault class — the strongest equivalence the repo's own
    infrastructure can state in one call. *)

@@ -358,6 +358,46 @@ let test_memo_kill_resume () =
                 (render ~resume:true ~checkpoint:ckpt_on ~isolation:`In_domain
                    (cells ~memo:true marker)))))
 
+(* The Obs.Stats drain of a real thm1 campaign is byte-identical at
+   in-domain jobs 1 and 2 and under process isolation: a forked child
+   ships its drain back over the supervisor's 'S' frame.  The proc leg
+   runs first and the test runs last — the in-domain jobs-2 leg spawns
+   domains, after which this process can no longer fork. *)
+let test_stats_across_backends () =
+  let cells () =
+    List.map
+      (fun t ->
+        Jobs_catalog.thm1_cell ~bulk:false ~validate:false ~t ~k:6 ~side:400
+          ~algo:"ael" ())
+      [ 1; 2 ]
+  in
+  let run ~jobs ~isolation =
+    Obs.Stats.reset ();
+    Obs.Stats.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Stats.disable ();
+        Obs.Stats.reset ())
+      (fun () ->
+        let out = render ~jobs ~isolation ~supervisor:fast (cells ()) in
+        (out, Obs.Stats.to_string (Obs.Stats.drain ())))
+  in
+  let proc_out, proc_stats = run ~jobs:2 ~isolation:`Process in
+  let out1, stats1 = run ~jobs:1 ~isolation:`In_domain in
+  let out2, stats2 = run ~jobs:2 ~isolation:`In_domain in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  check_bool "drain has thm1.presented" true (contains stats1 "thm1.presented");
+  check_string "in-domain jobs 2 output" out1 out2;
+  check_string "proc jobs 2 output" out1 proc_out;
+  check_string "in-domain jobs 2 stats" stats1 stats2;
+  check_string "proc jobs 2 stats" stats1 proc_stats
+
 let test_validation () =
   let rejects what f =
     match f () with
@@ -417,5 +457,10 @@ let () =
           Alcotest.test_case "inline short-circuits" `Quick
             test_inline_short_circuits;
           Alcotest.test_case "validation" `Quick test_validation;
+        ] );
+      ( "stats",
+        [
+          Alcotest.test_case "drain identical across backends" `Quick
+            test_stats_across_backends;
         ] );
     ]
