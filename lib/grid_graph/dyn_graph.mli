@@ -23,7 +23,11 @@ val n : t -> int
 val mem_edge : t -> Graph.node -> Graph.node -> bool
 
 val neighbors : t -> Graph.node -> Graph.node list
-(** Current neighbors (unsorted). *)
+(** Current neighbors, in the order a per-node [(int, unit) Hashtbl.t]
+    folds them: with [b] buckets (16, doubled whenever the degree
+    exceeds [2b]), by bucket index [Hashtbl.hash w land (b - 1)]
+    descending, then in insertion order within a bucket.  Callers'
+    outputs depend on this order (DESIGN.md, invariant 2). *)
 
 val snapshot : t -> Graph.t
 (** An immutable copy of the current graph; handles coincide. *)

@@ -9,41 +9,46 @@ let check_endpoint size v =
   if v < 0 || v >= size then
     invalid_arg (Printf.sprintf "Graph: node %d out of range [0,%d)" v size)
 
-let dedup_sorted a =
-  let len = Array.length a in
-  if len <= 1 then a
-  else begin
-    let out = ref [] and count = ref 0 in
-    for i = len - 1 downto 0 do
-      if i = 0 || a.(i) <> a.(i - 1) then begin
-        out := a.(i) :: !out;
-        incr count
-      end
-    done;
-    Array.of_list !out
-  end
-
+(* Two passes over the arcs: the first checks each arc (the first bad one
+   raises) and counts degrees, the second fills exact-size arrays, which
+   are then sorted and deduplicated in place. *)
 let of_arcs size arcs =
-  (* [arcs] is a list of directed arcs; we symmetrize, sort and dedup. *)
-  let buckets = Array.make size [] in
+  let deg = Array.make size 0 in
   List.iter
     (fun (u, v) ->
       check_endpoint size u;
       check_endpoint size v;
       if u = v then invalid_arg "Graph: self-loop";
-      buckets.(u) <- v :: buckets.(u);
-      buckets.(v) <- u :: buckets.(v))
+      deg.(u) <- deg.(u) + 1;
+      deg.(v) <- deg.(v) + 1)
     arcs;
-  let adj =
-    Array.map
-      (fun l ->
-        let a = Array.of_list l in
-        Array.sort compare a;
-        dedup_sorted a)
-      buckets
+  let adj = Array.map (fun d -> Array.make d 0) deg in
+  let fill u v =
+    let d = deg.(u) - 1 in
+    adj.(u).(d) <- v;
+    deg.(u) <- d
   in
-  let edge_count = Array.fold_left (fun acc a -> acc + Array.length a) 0 adj / 2 in
-  { size; adj; edge_count }
+  List.iter
+    (fun (u, v) ->
+      fill u v;
+      fill v u)
+    arcs;
+  let edge_count = ref 0 in
+  Array.iteri
+    (fun u a ->
+      Array.sort Int.compare a;
+      let len = Array.length a in
+      let kept = ref (min len 1) in
+      for i = 1 to len - 1 do
+        if a.(i) <> a.(!kept - 1) then begin
+          a.(!kept) <- a.(i);
+          incr kept
+        end
+      done;
+      if !kept < len then adj.(u) <- Array.sub a 0 !kept;
+      edge_count := !edge_count + !kept)
+    adj;
+  { size; adj; edge_count = !edge_count / 2 }
 
 let create ~n:size ~edges =
   if size < 0 then invalid_arg "Graph.create: negative size";

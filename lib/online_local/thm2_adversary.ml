@@ -71,7 +71,14 @@ let run_rect ?(bulk = false) ?memo ~wrap ~rows ~cols ~algorithm () =
   let row1 = t and row2 = (3 * t) + 2 in
   let band_lo = (2 * t) + 1 and band_hi = min ((4 * t) + 3) (rows - 1) in
   let row_nodes r = List.init cols (fun j -> (r * cols) + j) in
-  let prefix = row_nodes row1 @ row_nodes row2 in
+  (* Below the threshold a band row can lie past the last host row (row
+     3T+2 whenever 3T+2 >= rows, row T when T >= rows): it is left out of
+     the prefix, and its b-value reads 0. *)
+  let on_host r = r < rows in
+  let prefix = List.concat_map row_nodes (List.filter on_host [ row1; row2 ]) in
+  let row_b coloring ~row ~east =
+    if on_host row then row_cycle_b_rect coloring ~cols ~row ~east else 0
+  in
   (* Dense packed-int set — the executor core's representation — instead
      of an [(int, unit)] hashtable for the prefix-complement scan. *)
   let in_prefix = Grid_graph.Packed.Set.create n in
@@ -93,8 +100,7 @@ let run_rect ?(bulk = false) ?memo ~wrap ~rows ~cols ~algorithm () =
     let coloring = outcome.Models.Run_stats.coloring in
     let s_east, s_west =
       if Colorings.Coloring.is_total coloring then
-        ( row_cycle_b_rect coloring ~cols ~row:row1 ~east:true,
-          row_cycle_b_rect coloring ~cols ~row:row2 ~east:false )
+        (row_b coloring ~row:row1 ~east:true, row_b coloring ~row:row2 ~east:false)
       else (0, 0)
     in
     {
@@ -117,8 +123,8 @@ let run_rect ?(bulk = false) ?memo ~wrap ~rows ~cols ~algorithm () =
       match probe.Models.Run_stats.violation with
       | Some _ -> false  (* already failing; no need to reflect *)
       | None ->
-          let s1 = row_cycle_b_rect probe.Models.Run_stats.coloring ~cols ~row:row1 ~east:true in
-          let s2 = row_cycle_b_rect probe.Models.Run_stats.coloring ~cols ~row:row2 ~east:false in
+          let s1 = row_b probe.Models.Run_stats.coloring ~row:row1 ~east:true in
+          let s2 = row_b probe.Models.Run_stats.coloring ~row:row2 ~east:false in
           s1 + s2 = 0
     in
     let host =
@@ -129,8 +135,7 @@ let run_rect ?(bulk = false) ?memo ~wrap ~rows ~cols ~algorithm () =
     let coloring = outcome.Models.Run_stats.coloring in
     let s_east, s_west =
       if Colorings.Coloring.is_total coloring then
-        ( row_cycle_b_rect coloring ~cols ~row:row1 ~east:true,
-          row_cycle_b_rect coloring ~cols ~row:row2 ~east:false )
+        (row_b coloring ~row:row1 ~east:true, row_b coloring ~row:row2 ~east:false)
       else (0, 0)
     in
     {

@@ -94,6 +94,51 @@ let test_bad_inputs_raise () =
          Jobs_catalog.handler ~kind:"thm1" ~payload:"t=1 k=5 side=60 algo=zeta"));
   check_bool "kinds listed" true (List.mem "thm1" Jobs_catalog.kinds)
 
+(* Exact result bytes, as MD5 digests, for a fixed set of cells.  The
+   digests were recorded before the executors' adjacency storage was
+   rewritten; any change to neighbor order, host construction or report
+   formatting that moves a single byte shows up here.  The side-3 and
+   side-5 thm2 cells (band row 3T+2 past the last host row) are pinned
+   as the adversary plays them with the prefix clipped to the host. *)
+let cell_digests =
+  [
+    ("thm1", "t=2 k=6 side=400 algo=ael", "49d2e24957e9f705be14a0496214f476");
+    ("thm1", "t=2 k=6 side=400 algo=greedy", "18751bceac5c80bf98b4daeb38b4e63b");
+    ("thm1", "t=2 k=6 side=400 algo=stripes", "fc231c7c8f0aa023253b879dd79d1e3b");
+    ("thm2", "wrap=torus side=3 algo=greedy", "ba30b5d069dee139b9e0f1e6bf82c989");
+    ("thm2", "wrap=torus side=3 algo=ael(T=1)", "58d6999d0db8f77dcbbf43c3e67bf519");
+    ("thm2", "wrap=torus side=5 algo=greedy", "f8d1ae47aad901ba6753a07bdbf9f85d");
+    ("thm2", "wrap=torus side=5 algo=ael(T=1)", "5cd460a0301eff23db19629f1aaaa167");
+    ("thm2", "wrap=torus side=13 algo=greedy", "c49f4a5ad46e00a378b847bafafa8210");
+    ("thm2", "wrap=torus side=13 algo=ael(T=1)", "c8544a478e0635c3910b42eaceedfeed");
+    ("thm2", "wrap=torus side=31 algo=greedy", "4eccbc3612e451915a30e4ef2b6f9844");
+    ("thm2", "wrap=torus side=31 algo=ael(T=1)", "8f3d7777852ff84abe63defff2aee1d8");
+    ("thm2", "wrap=cylinder side=3 algo=greedy", "a82798906346fcee4db0740370b05d8c");
+    ("thm2", "wrap=cylinder side=3 algo=ael(T=1)", "f4fe36c272bb56dc707fc073ac6fef34");
+    ("thm2", "wrap=cylinder side=5 algo=greedy", "3438e523e92a201a7c43b24b9e014cd2");
+    ("thm2", "wrap=cylinder side=5 algo=ael(T=1)", "15258d1117891d9c478ade22e919ca46");
+    ("thm2", "wrap=cylinder side=13 algo=greedy", "078ecf20e7f9e7be686c6856de11f7df");
+    ("thm2", "wrap=cylinder side=13 algo=ael(T=1)", "48127a9122099f9ef3ca1617cfe0bf05");
+    ("thm2", "wrap=cylinder side=31 algo=greedy", "45c8e91c74ff144451bed6e6c0c03f89");
+    ("thm2", "wrap=cylinder side=31 algo=ael(T=1)", "87f1c6a4109fa4f6d466f49dd1c9d2d0");
+    ("thm3", "k=3 gadgets=8 algo=greedy", "30f33f87dfaaf29076e19201e022e16f");
+    ("thm3", "k=3 gadgets=8 algo=gadget-rows", "d6d7adb47bb89409610b54adaae16688");
+  ]
+
+let test_cell_digests () =
+  (* An algorithm failure's report says "[backtrace recorded]" when
+     backtraces are on; the digests are of the sweep binaries' default. *)
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace false;
+  Fun.protect
+    ~finally:(fun () -> Printexc.record_backtrace recording)
+    (fun () ->
+      List.iter
+        (fun (kind, payload, digest) ->
+          check_string (kind ^ " " ^ payload) digest
+            (Digest.to_hex (Digest.string (Jobs_catalog.handler ~kind ~payload))))
+        cell_digests)
+
 let () =
   Alcotest.run "catalog"
     [
@@ -108,5 +153,6 @@ let () =
             test_pinned_result_shape;
           Alcotest.test_case "fuzz payload" `Quick test_fuzz_payload;
           Alcotest.test_case "bad inputs raise" `Quick test_bad_inputs_raise;
+          Alcotest.test_case "cell digests" `Quick test_cell_digests;
         ] );
     ]

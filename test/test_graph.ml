@@ -177,6 +177,177 @@ let test_dyn_graph_growth () =
   check_int "n" 100 (Dyn_graph.n d);
   check_int "snapshot m" 99 (Graph.m (Dyn_graph.snapshot d))
 
+(* Reference model for [Dyn_graph]: the per-node [Hashtbl] it used to be
+   built on.  Its [neighbors] order is the contract the flat-array version
+   must keep, because executor outputs were recorded under it. *)
+module Hashtbl_dyn = struct
+  type t = { mutable size : int; mutable adj : (int, unit) Hashtbl.t array }
+
+  let create () = { size = 0; adj = Array.init 16 (fun _ -> Hashtbl.create 4) }
+
+  let add_node g =
+    let cap = Array.length g.adj in
+    if g.size + 1 > cap then begin
+      let fresh = Array.init (2 * cap) (fun _ -> Hashtbl.create 4) in
+      Array.blit g.adj 0 fresh 0 cap;
+      g.adj <- fresh
+    end;
+    g.size <- g.size + 1;
+    g.size - 1
+
+  let check g v = if v < 0 || v >= g.size then invalid_arg "Dyn_graph: unknown handle"
+
+  let add_edge g u v =
+    check g u;
+    check g v;
+    if u = v then invalid_arg "Dyn_graph: self-loop";
+    Hashtbl.replace g.adj.(u) v ();
+    Hashtbl.replace g.adj.(v) u ()
+
+  let mem_edge g u v =
+    check g u;
+    check g v;
+    Hashtbl.mem g.adj.(u) v
+
+  let neighbors g v =
+    check g v;
+    Hashtbl.fold (fun w () acc -> w :: acc) g.adj.(v) []
+
+  let snapshot g =
+    let edges = ref [] in
+    for u = 0 to g.size - 1 do
+      Hashtbl.iter (fun v () -> if u < v then edges := (u, v) :: !edges) g.adj.(u)
+    done;
+    Graph.create ~n:g.size ~edges:!edges
+end
+
+let outcome f = match f () with x -> Ok x | exception Invalid_argument m -> Error m
+
+(* Random [add_node]/[add_edge] sequences with duplicate edges, both
+   orientations, bad calls, and a hub of degree >= 70, so the re-sorts at
+   degrees 33 and 65 run.  After every step the touched nodes' neighbor
+   lists, and every 32 steps all of them, must equal the model's, element
+   for element. *)
+let test_dyn_graph_model () =
+  let rng = Random.State.make [| 0xD16 |] in
+  for trial = 1 to 25 do
+    let d = Dyn_graph.create () and m = Hashtbl_dyn.create () in
+    let hub_degree = 70 + Random.State.int rng 40 in
+    let target = hub_degree + 10 + Random.State.int rng 60 in
+    let ctx step = Printf.sprintf "trial %d step %d" trial step in
+    let same_neighbors step v =
+      Alcotest.(check (list int)) (ctx step) (Hashtbl_dyn.neighbors m v)
+        (Dyn_graph.neighbors d v)
+    in
+    let add step u v =
+      Dyn_graph.add_edge d u v;
+      Hashtbl_dyn.add_edge m u v;
+      same_neighbors step u;
+      same_neighbors step v
+    in
+    for step = 1 to 6 * target do
+      let n = Dyn_graph.n d in
+      let pick () = Random.State.int rng (max n 1) in
+      (match Random.State.int rng 10 with
+      | 0 | 1 when n < target ->
+          check_int (ctx step) (Hashtbl_dyn.add_node m) (Dyn_graph.add_node d)
+      | 2 | 3 when n > 1 ->
+          (* Hub edge, either orientation; repeats are duplicates. *)
+          let w = 1 + Random.State.int rng (min (n - 1) (hub_degree + 20)) in
+          if Random.State.bool rng then add step 0 w else add step w 0
+      | 4 ->
+          (* Self-loops and unknown handles raise the same message. *)
+          let u = pick () and v = if Random.State.bool rng then n + 1 else -1 in
+          let u, v = if Random.State.bool rng then (u, u) else (u, v) in
+          let got = outcome (fun () -> Dyn_graph.add_edge d u v) in
+          let want = outcome (fun () -> Hashtbl_dyn.add_edge m u v) in
+          check_bool (ctx step ^ " error") true (got = want)
+      | _ when n > 1 ->
+          let u = pick () and v = pick () in
+          if u <> v then add step u v
+      | _ -> ());
+      let n = Dyn_graph.n d in
+      if step mod 32 = 0 then
+        for v = 0 to n - 1 do
+          same_neighbors step v
+        done;
+      if n > 0 then begin
+        let u = Random.State.int rng n and v = Random.State.int rng n in
+        check_bool (ctx step ^ " mem_edge") (Hashtbl_dyn.mem_edge m u v)
+          (Dyn_graph.mem_edge d u v)
+      end
+    done;
+    for v = 0 to Dyn_graph.n d - 1 do
+      same_neighbors 0 v
+    done;
+    check_bool "hub re-sorted twice" true (List.length (Dyn_graph.neighbors d 0) > 64);
+    check_bool "snapshot" true
+      (Graph.equal (Hashtbl_dyn.snapshot m) (Dyn_graph.snapshot d))
+  done
+
+(* Reference for [Graph.create]: the single-pass list-bucket [of_arcs] it
+   replaced.  Returns the adjacency arrays. *)
+let list_bucket_of_arcs size arcs =
+  let check_endpoint v =
+    if v < 0 || v >= size then
+      invalid_arg (Printf.sprintf "Graph: node %d out of range [0,%d)" v size)
+  in
+  let buckets = Array.make size [] in
+  List.iter
+    (fun (u, v) ->
+      check_endpoint u;
+      check_endpoint v;
+      if u = v then invalid_arg "Graph: self-loop";
+      buckets.(u) <- v :: buckets.(u);
+      buckets.(v) <- u :: buckets.(v))
+    arcs;
+  Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) buckets
+
+(* Random arc lists with duplicates, both orientations and isolated
+   nodes; one in four also carries bad arcs, and then the first bad arc
+   must raise the same message. *)
+let test_of_arcs_differential () =
+  let rng = Random.State.make [| 0xA2C |] in
+  for trial = 1 to 400 do
+    let n = 1 + Random.State.int rng 60 in
+    (* Endpoints come from the lower part only, leaving isolated nodes. *)
+    let span = 1 + Random.State.int rng n in
+    let arc () = (Random.State.int rng span, Random.State.int rng span) in
+    let arcs = ref [] in
+    for _ = 1 to Random.State.int rng (4 * n) do
+      let a = arc () in
+      arcs := a :: !arcs;
+      if Random.State.int rng 4 = 0 then arcs := (snd a, fst a) :: !arcs
+    done;
+    let arcs = List.filter (fun (u, v) -> u <> v) !arcs in
+    let arcs =
+      if trial mod 4 <> 0 then arcs
+      else
+        let bad =
+          match Random.State.int rng 3 with
+          | 0 -> (0, 0)
+          | 1 -> (Random.State.int rng n, n + Random.State.int rng 3)
+          | _ -> (-1 - Random.State.int rng 3, Random.State.int rng n)
+        in
+        let k = Random.State.int rng (List.length arcs + 1) in
+        List.filteri (fun i _ -> i < k) arcs @ (bad :: List.filteri (fun i _ -> i >= k) arcs)
+    in
+    let ctx = Printf.sprintf "trial %d" trial in
+    match
+      ( outcome (fun () -> list_bucket_of_arcs n arcs),
+        outcome (fun () -> Graph.create ~n ~edges:arcs) )
+    with
+    | Ok want, Ok g ->
+        check_int ctx n (Graph.n g);
+        Array.iteri
+          (fun v a -> Alcotest.(check (array int)) ctx a (Graph.neighbors g v))
+          want;
+        check_int (ctx ^ " m") (Array.fold_left (fun s a -> s + Array.length a) 0 want / 2)
+          (Graph.m g)
+    | Error want, Error got -> Alcotest.(check string) ctx want got
+    | _ -> Alcotest.fail (ctx ^ ": one side raised, the other did not")
+  done
+
 let () =
   Alcotest.run "grid_graph"
     [
@@ -207,5 +378,7 @@ let () =
         [
           Alcotest.test_case "dyn graph" `Quick test_dyn_graph;
           Alcotest.test_case "dyn graph growth" `Quick test_dyn_graph_growth;
+          Alcotest.test_case "dyn graph = hashtbl model" `Quick test_dyn_graph_model;
+          Alcotest.test_case "of_arcs = list buckets" `Quick test_of_arcs_differential;
         ] );
     ]

@@ -137,6 +137,53 @@ let test_even_side_not_guaranteed () =
   let r = T2.run ~wrap:`Cylindrical ~side:12 ~algorithm:A.greedy_first_fit () in
   check_bool "even side -> preconditions false" false r.T2.preconditions_met
 
+(* Below the threshold the band rows T and 3T+2 can fall past the last
+   host row.  The adversary must clip them instead of presenting nodes
+   outside the host: every small-side cell ends in a typed verdict about
+   host nodes [0, side^2), bulk or not. *)
+let test_small_sides_stay_on_host () =
+  let algorithms =
+    [
+      ("greedy", Portfolio.greedy);
+      ("ael(T=1)", fun () -> Portfolio.ael ~t:1 ());
+      ("ael(T=3)", fun () -> Portfolio.ael ~t:3 ());
+    ]
+  in
+  List.iter
+    (fun side ->
+      let n = side * side in
+      List.iter
+        (fun wrap ->
+          List.iter
+            (fun (name, algorithm) ->
+              List.iter
+                (fun bulk ->
+                  let ctx =
+                    Printf.sprintf "side=%d %s %s bulk=%b" side
+                      (if wrap = `Toroidal then "torus" else "cylinder")
+                      name bulk
+                  in
+                  let r =
+                    match T2.run ~bulk ~wrap ~side ~algorithm:(algorithm ()) () with
+                    | r -> r
+                    | exception e -> Alcotest.failf "%s raised %s" ctx (Printexc.to_string e)
+                  in
+                  check_bool (ctx ^ " presented") true (r.T2.presented <= n);
+                  let on_host v = v >= 0 && v < n in
+                  match r.T2.result with
+                  | `Survived -> ()
+                  | `Defeated (Models.Run_stats.Monochromatic_edge (u, v)) ->
+                      check_bool (ctx ^ " edge on host") true (on_host u && on_host v)
+                  | `Defeated (Models.Run_stats.Algorithm_failure { node; _ })
+                  | `Defeated (Models.Run_stats.Palette_overflow { node; _ }) ->
+                      check_bool (ctx ^ " node on host") true (on_host node)
+                  | `Defeated (Models.Run_stats.Repeated_presentation v) ->
+                      Alcotest.failf "%s: node %d presented twice" ctx v)
+                [ false; true ])
+            algorithms)
+        [ `Toroidal; `Cylindrical ])
+    [ 3; 5; 7 ]
+
 let () =
   Alcotest.run "thm2-adversary"
     [
@@ -155,5 +202,6 @@ let () =
           Alcotest.test_case "ael crashes into a certificate" `Quick test_defeats_ael_on_torus;
           Alcotest.test_case "preconditions small side" `Quick test_preconditions_reported;
           Alcotest.test_case "preconditions even side" `Quick test_even_side_not_guaranteed;
+          Alcotest.test_case "small sides stay on host" `Quick test_small_sides_stay_on_host;
         ] );
     ]
