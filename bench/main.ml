@@ -717,7 +717,7 @@ let isolation_overhead () =
 
 let serve_throughput () =
   let module Server = Harness.Server in
-  let module Client = Harness.Client in
+  let module Fleet = Harness.Fleet in
   let fast_backoff = { Harness.Backoff.base = 0.002; max = 0.02; seed = 0x5EED } in
   let handler ~kind ~payload =
     match kind with
@@ -758,7 +758,8 @@ let serve_throughput () =
           (fun () ->
             let t0 = Unix.gettimeofday () in
             let c =
-              Client.run_campaign ~backoff:fast_backoff ~window ~socket specs
+              Fleet.run_campaign ~backoff:fast_backoff ~window
+                ~endpoints:[ socket ] specs
             in
             let dt = Unix.gettimeofday () -. t0 in
             List.iteri
@@ -769,7 +770,7 @@ let serve_throughput () =
                        "BENCH serve_throughput: %s result %d differs from the \
                         serverless baseline — determinism contract broken"
                        label i))
-              (List.combine specs c.Client.results);
+              (List.combine specs c.Fleet.results);
             (label, dt, c))
   in
   Format.printf
@@ -791,12 +792,12 @@ let serve_throughput () =
     List.map
       (fun (label, dt, c) ->
         let rate = float_of_int n_jobs /. dt in
-        let submits = n_jobs + c.Client.resubmits in
+        let submits = n_jobs + c.Fleet.resubmits in
         let rejection_rate =
-          float_of_int c.Client.rejections /. float_of_int submits
+          float_of_int c.Fleet.rejections /. float_of_int submits
         in
         Format.printf "%-14s %-10.0f %-10d %-11d %-11d %.3f@." label rate
-          c.Client.resubmits c.Client.rejections c.Client.reconnects
+          c.Fleet.resubmits c.Fleet.rejections c.Fleet.reconnects
           rejection_rate;
         (label, dt, rate, c, rejection_rate))
       runs
@@ -816,9 +817,9 @@ let serve_throughput () =
                      ("scenario", Obs.Json.String label);
                      ("seconds", Obs.Json.Float dt);
                      ("jobs_per_s", Obs.Json.Float rate);
-                     ("resubmits", Obs.Json.Int c.Client.resubmits);
-                     ("rejections", Obs.Json.Int c.Client.rejections);
-                     ("reconnects", Obs.Json.Int c.Client.reconnects);
+                     ("resubmits", Obs.Json.Int c.Fleet.resubmits);
+                     ("rejections", Obs.Json.Int c.Fleet.rejections);
+                     ("reconnects", Obs.Json.Int c.Fleet.reconnects);
                      ("rejection_rate", Obs.Json.Float rejection_rate);
                    ])
                rows) );

@@ -1,16 +1,20 @@
-(* Fleet dispatch client: shard one campaign across N serve.exe
-   endpoints, with failover, circuit breakers, and depth-probe
+(* The campaign client for serve.exe: shard one campaign across one or
+   more endpoints, with failover, circuit breakers, and depth-probe
    rebalancing (Harness.Fleet).
 
      dune exec bin/dispatch.exe -- \
        --endpoint /tmp/a.sock --endpoint /tmp/b.sock --endpoint tcp:7001 \
        --kind thm1 "t=1 k=9 side=4000 algo=ael" "t=2 k=9 side=4000 algo=ael"
      dune exec bin/dispatch.exe -- --endpoint /tmp/a.sock --from jobs.txt
+     dune exec bin/dispatch.exe -- --endpoint /tmp/a.sock --health
+     dune exec bin/dispatch.exe -- --endpoint /tmp/a.sock --server-stats
 
-   Stdout carries only results, in spec order, byte-identical to a
-   serverless sweep of the same cells and to a single-server submit.exe
-   run — at every shard count, --jobs level, isolation mode, and
-   kill/restart history.  The tally and the campaign verdict (FULL, or
+   A --from file holds one job per line, "kind<TAB>payload".  Stdout
+   carries only results, in spec order, byte-identical to a serverless
+   sweep of the same cells — at every endpoint count, --jobs level,
+   isolation mode, and kill/restart history.  Retries are seeded and
+   safe: job ids are content-derived, so a resubmit can never run a job
+   twice.  The tally and the campaign verdict (FULL, or
    DEGRADED with the endpoint losses / drains / failovers that
    happened) go to stderr.  Exit 0 means every result is in, degraded
    or not; the verdict line is the place to look. *)
@@ -33,45 +37,67 @@ let read_specs_file path =
   in
   go []
 
+(* --health / --server-stats: one JSON line per endpoint, in order.
+   exit 2: an endpoint is unreachable — an operational state with its
+   own exit code, distinct from protocol/usage failures (exit 1). *)
+let one_shots probe endpoints =
+  List.fold_left
+    (fun code socket ->
+      match probe socket with
+      | Ok json ->
+          print_endline json;
+          code
+      | Error (`Unreachable reason) ->
+          Format.eprintf "dispatch: cannot reach %s: %s@." socket reason;
+          2)
+    0 endpoints
+
+let campaign endpoints specs deadline_ms window max_attempts shard_seed
+    probe_interval_ms =
+  if specs = [] then begin
+    Format.eprintf "dispatch: nothing to submit (positional payloads or --from)@.";
+    2
+  end
+  else begin
+    let deadline = Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms in
+    let probe_interval = float_of_int probe_interval_ms /. 1000. in
+    let campaign =
+      Harness.Fleet.run_campaign ~window ?deadline ~max_attempts ~shard_seed
+        ~probe_interval ~endpoints specs
+    in
+    List.iter
+      (fun result -> Format.printf "%s@." result)
+      campaign.Harness.Fleet.results;
+    Format.eprintf
+      "dispatch: %d results over %d endpoint(s) (%d failovers, %d \
+       duplicates deduped, %d resubmits, %d rejections, %d reconnects)@."
+      (List.length campaign.Harness.Fleet.results)
+      (List.length endpoints) campaign.Harness.Fleet.failovers
+      campaign.Harness.Fleet.duplicates campaign.Harness.Fleet.resubmits
+      campaign.Harness.Fleet.rejections campaign.Harness.Fleet.reconnects;
+    Format.eprintf "dispatch: verdict %s@."
+      (Harness.Fleet.verdict_to_string campaign.Harness.Fleet.verdict);
+    0
+  end
+
 let run endpoints kind payloads from deadline_ms window max_attempts shard_seed
-    probe_interval_ms trace stats_out flight =
+    probe_interval_ms health server_stats trace stats_out flight =
   Obs_cli.with_observability ~program:"dispatch" ~trace ~stats:stats_out ~flight
   @@ fun () ->
   try
-    let specs =
-      (match from with Some path -> read_specs_file path | None -> [])
-      @ List.map (fun p -> (kind, p)) payloads
-    in
-    if specs = [] then begin
-      Format.eprintf
-        "dispatch: nothing to submit (positional payloads or --from)@.";
-      2
-    end
-    else begin
-      let deadline =
-        Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms
+    if health then
+      one_shots (fun socket -> Harness.Client.health ~socket ()) endpoints
+    else if server_stats then
+      one_shots (fun socket -> Harness.Client.stats ~socket ()) endpoints
+    else
+      let specs =
+        (match from with Some path -> read_specs_file path | None -> [])
+        @ List.map (fun p -> (kind, p)) payloads
       in
-      let probe_interval = float_of_int probe_interval_ms /. 1000. in
-      let campaign =
-        Harness.Fleet.run_campaign ~window ?deadline ~max_attempts ~shard_seed
-          ~probe_interval ~endpoints specs
-      in
-      List.iter
-        (fun result -> Format.printf "%s@." result)
-        campaign.Harness.Fleet.results;
-      Format.eprintf
-        "dispatch: %d results over %d endpoint(s) (%d failovers, %d \
-         duplicates deduped, %d resubmits, %d rejections, %d reconnects)@."
-        (List.length campaign.Harness.Fleet.results)
-        (List.length endpoints) campaign.Harness.Fleet.failovers
-        campaign.Harness.Fleet.duplicates campaign.Harness.Fleet.resubmits
-        campaign.Harness.Fleet.rejections campaign.Harness.Fleet.reconnects;
-      Format.eprintf "dispatch: verdict %s@."
-        (Harness.Fleet.verdict_to_string campaign.Harness.Fleet.verdict);
-      0
-    end
+      campaign endpoints specs deadline_ms window max_attempts shard_seed
+        probe_interval_ms
   with
-  | Failure msg ->
+  | Failure msg | Sys_error msg ->
       Format.eprintf "dispatch: %s@." msg;
       1
   | Invalid_argument msg ->
@@ -92,7 +118,10 @@ let kind =
     value
     & opt string "thm1"
     & info [ "kind" ] ~docv:"KIND"
-        ~doc:"Job kind for positional payloads: thm1|thm2|thm3|fuzz.")
+        ~doc:
+          ("Job kind for positional payloads: "
+          ^ String.concat "|" Jobs_catalog.kinds
+          ^ "."))
 
 let payloads =
   Arg.(value & pos_all string [] & info [] ~docv:"PAYLOAD" ~doc:"Job payloads.")
@@ -145,13 +174,26 @@ let probe_interval_ms =
     & info [ "probe-interval-ms" ] ~docv:"MS"
         ~doc:"How often each endpoint's queue depth is probed (rebalancing).")
 
+let health =
+  Arg.(
+    value & flag
+    & info [ "health" ] ~doc:"Print each endpoint's health JSON and exit.")
+
+let server_stats =
+  Arg.(
+    value & flag
+    & info [ "server-stats" ]
+        ~doc:
+          "Print each endpoint's stats JSON and exit.  (The shared --stats \
+           FILE flag writes this client's own streaming statistics.)")
+
 let cmd =
   Cmd.v
     (Cmd.info "dispatch"
-       ~doc:"Shard jobs across a fleet of serve.exe endpoints with failover")
+       ~doc:"Run a job campaign on one or more serve.exe endpoints with failover")
     Term.(
       const run $ endpoints $ kind $ payloads $ from $ deadline_ms $ window
-      $ max_attempts $ shard_seed $ probe_interval_ms $ Obs_cli.trace
-      $ Obs_cli.stats $ Obs_cli.flight)
+      $ max_attempts $ shard_seed $ probe_interval_ms $ health $ server_stats
+      $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

@@ -179,7 +179,6 @@ let enumerate ~mode ~side ~k ~max_leaves =
   totals
 
 let run ks side max_leaves min_reduction =
-  let ks = Harness.Sweep.int_axis ~flag:"-k" ks in
   let failures = ref 0 in
   List.iter
     (fun k ->
@@ -230,7 +229,7 @@ let run ks side max_leaves min_reduction =
 
 let ks =
   Arg.(
-    value & opt string "1,2"
+    value & opt Obs_cli.int_axis [ 1; 2 ]
     & info [ "k" ] ~doc:"Forced b-value targets (comma-separated).")
 
 let side =

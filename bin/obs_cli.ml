@@ -18,6 +18,10 @@
      --kill-grace-ms MS   proc mode: SIGTERM -> SIGKILL escalation gap
      --cell-timeout-ms MS proc mode: per-attempt wall-clock watchdog
 
+   and two converters for comma-separated sweep axes ("1,2,8"), so a
+   bad axis entry ("-t 1,x", "--wrap tor") is a usage error naming the
+   flag rather than an uncaught exception or one ERROR line per cell.
+
    The --stats file is written after the run, even on the interrupted
    (exit 130) path: a Ctrl-C'd sweep still reports what it counted. *)
 
@@ -144,6 +148,40 @@ let cell_timeout_ms =
           "With --isolate proc: per-attempt wall-clock watchdog; a cell \
            exceeding it is killed and certified unresponsive.  Unset: no \
            watchdog.")
+
+(* ------------------------------ sweep axes ----------------------------- *)
+
+(* Sweep.int_axis/string_axis at parse time: the accepted inputs and
+   their values are exactly theirs. *)
+let axis parse pp_item =
+  let parse s =
+    match parse s with
+    | axis -> Ok axis
+    | exception Invalid_argument msg -> Error (`Msg msg)
+  in
+  let pp =
+    Format.pp_print_list
+      ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
+      pp_item
+  in
+  Arg.conv ~docv:"VAL" (parse, pp)
+
+let int_axis = axis Harness.Sweep.int_axis Format.pp_print_int
+
+(* [among] is the catalog's list of known names for this axis. *)
+let string_axis ~among =
+  let parse s =
+    let axis = Harness.Sweep.string_axis s in
+    List.iter
+      (fun v ->
+        if not (List.mem v among) then
+          invalid_arg
+            (Printf.sprintf "unknown value %s (expected %s)" (String.escaped v)
+               (String.concat "|" among)))
+      axis;
+    axis
+  in
+  axis parse Format.pp_print_string
 
 type exec = {
   jobs : int;

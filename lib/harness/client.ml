@@ -1,12 +1,5 @@
 let job_id ~kind ~payload = Digest.to_hex (Digest.string (kind ^ "\x00" ^ payload))
 
-type campaign = {
-  results : string list;
-  resubmits : int;
-  rejections : int;
-  reconnects : int;
-}
-
 (* ------------------------------ plumbing ------------------------------ *)
 
 let rec write_all fd buf pos len =
@@ -78,11 +71,6 @@ let read_frame fd dec chunk =
   in
   go ()
 
-let split_tab s =
-  match String.index_opt s '\t' with
-  | None -> (s, "")
-  | Some t -> (String.sub s 0 t, String.sub s (t + 1) (String.length s - t - 1))
-
 (* every server→client tag: ack, result, reject, health, stats (usage),
    error, and the depth-probe reply *)
 let reply_tags = "ARXHUED"
@@ -131,171 +119,6 @@ module Endpoint = struct
     | exception Unix.Unix_error (e, _, _) ->
         raise (Conn_lost (Unix.error_message e))
 end
-
-(* ------------------------------ campaign ------------------------------ *)
-
-type jstatus = {
-  mutable result : string option;
-  mutable attempts : int;  (* rejected submits so far *)
-  mutable due : float;  (* no resubmit before this time *)
-  mutable submitted : bool;  (* on the current connection *)
-}
-
-let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
-    ?(max_attempts = 10_000) ?(recv_timeout = 30.) ~socket specs =
-  if window < 1 then invalid_arg "Client: window must be >= 1";
-  if max_attempts < 1 then invalid_arg "Client: max_attempts must be >= 1";
-  Backoff.validate backoff;
-  let deadline_ms =
-    match deadline with
-    | None -> ""
-    | Some s ->
-        if s <= 0. then invalid_arg "Client: deadline must be positive";
-        string_of_int (int_of_float (s *. 1000.))
-  in
-  (* unique jobs, in first-appearance order; duplicate specs share an id *)
-  let tbl : (string, jstatus) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun (kind, payload) ->
-      let id = job_id ~kind ~payload in
-      if not (Hashtbl.mem tbl id) then begin
-        Hashtbl.replace tbl id
-          { result = None; attempts = 0; due = 0.; submitted = false };
-        order := (id, kind, payload) :: !order
-      end)
-    specs;
-  let order = List.rev !order in
-  let resubmits = ref 0 and rejections = ref 0 and reconnects = ref 0 in
-  let total_submits = ref 0 in
-  let conn_failures = ref 0 in
-  let chunk = Bytes.create 4096 in
-  let conn : (Unix.file_descr * Wire.decoder) option ref = ref None in
-  let drop_conn () =
-    match !conn with
-    | Some (fd, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        conn := None;
-        Hashtbl.iter (fun _ j -> j.submitted <- false) tbl
-    | None -> ()
-  in
-  let ensure_conn () =
-    match !conn with
-    | Some c -> c
-    | None -> (
-        match connect ~recv_timeout socket with
-        | fd ->
-            let c = (fd, Wire.decoder ~tags:reply_tags ()) in
-            conn := Some c;
-            c
-        | exception (Unix.Unix_error (e, _, _)) ->
-            raise (Conn_lost (Unix.error_message e)))
-  in
-  let unresolved () =
-    List.filter (fun (id, _, _) -> (Hashtbl.find tbl id).result = None) order
-  in
-  let inflight () =
-    Hashtbl.fold
-      (fun _ j n -> if j.result = None && j.submitted then n + 1 else n)
-      tbl 0
-  in
-  let submit fd (id, kind, payload) =
-    let j = Hashtbl.find tbl id in
-    incr total_submits;
-    if !total_submits > List.length order then incr resubmits;
-    j.submitted <- true;
-    send_frame fd ~tag:'S' (kind ^ "\t" ^ deadline_ms ^ "\n" ^ payload)
-  in
-  let on_conn_lost reason =
-    drop_conn ();
-    incr reconnects;
-    incr conn_failures;
-    if !conn_failures > max_attempts then
-      failwith
-        (Printf.sprintf "Client: giving up on %s after %d connection failures (%s)"
-           socket !conn_failures reason);
-    Unix.sleepf (Backoff.delay backoff ~key:"#conn" ~attempt:!conn_failures)
-  in
-  with_sigpipe_ignored @@ fun () ->
-  Fun.protect ~finally:drop_conn @@ fun () ->
-  let rec loop () =
-    match unresolved () with
-    | [] -> ()
-    | todo -> (
-        match
-          let fd, dec = ensure_conn () in
-          let now = Unix.gettimeofday () in
-          (* fill the window with due, unsubmitted jobs *)
-          let slots = ref (window - inflight ()) in
-          List.iter
-            (fun ((id, _, _) as spec) ->
-              let j = Hashtbl.find tbl id in
-              if !slots > 0 && (not j.submitted) && j.due <= now then begin
-                decr slots;
-                submit fd spec
-              end)
-            todo;
-          if inflight () = 0 then begin
-            (* everything unresolved is backing off: sleep to the
-               earliest due time instead of spinning *)
-            let earliest =
-              List.fold_left
-                (fun acc (id, _, _) ->
-                  Float.min acc (Hashtbl.find tbl id).due)
-                infinity todo
-            in
-            if earliest > now then Unix.sleepf (Float.min 1. (earliest -. now))
-          end
-          else begin
-            let { Wire.tag; payload } = read_frame fd dec chunk in
-            conn_failures := 0;
-            match tag with
-            | 'A' -> ()
-            | 'R' ->
-                let id, result = split_tab payload in
-                (match Hashtbl.find_opt tbl id with
-                | Some j -> j.result <- Some result
-                | None -> ())
-            | 'X' ->
-                let id, _reason = split_tab payload in
-                incr rejections;
-                (match Hashtbl.find_opt tbl id with
-                | Some j ->
-                    j.submitted <- false;
-                    j.attempts <- j.attempts + 1;
-                    if j.attempts > max_attempts then
-                      failwith
-                        (Printf.sprintf
-                           "Client: job %s rejected %d times, giving up" id
-                           j.attempts);
-                    j.due <-
-                      Unix.gettimeofday ()
-                      +. Backoff.delay backoff ~key:id ~attempt:j.attempts
-                | None -> ())
-            | 'E' -> raise (Conn_lost ("server error: " ^ payload))
-            | _ -> ()
-          end
-        with
-        | () -> loop ()
-        | exception Conn_lost reason ->
-            on_conn_lost reason;
-            loop ())
-  in
-  loop ();
-  let results =
-    List.map
-      (fun (kind, payload) ->
-        match (Hashtbl.find tbl (job_id ~kind ~payload)).result with
-        | Some r -> r
-        | None -> assert false)
-      specs
-  in
-  {
-    results;
-    resubmits = !resubmits;
-    rejections = !rejections;
-    reconnects = !reconnects;
-  }
 
 (* ------------------------------ one-shots ----------------------------- *)
 

@@ -1,52 +1,18 @@
-(** Client side of the {!Server} protocol: content-derived job ids,
-    pipelined submission, and seeded-backoff retries over every failure
-    the server (or its [--chaos] harness) can inject.
+(** Client side of the {!Server} protocol: content-derived job ids, the
+    connected {!Endpoint} that {!Fleet} multiplexes to run campaigns,
+    and the health/stats one-shots.
 
-    The retry loop is safe {e because} submission is idempotent: a job's
-    id is a digest of its content ({!job_id}), so resubmitting after a
-    dropped connection, a truncated frame, or a typed ['X'] rejection
-    can never run a job twice — the server answers from its dedup table
-    ([cached]/[inflight]) and the bytes of a campaign's results are
-    independent of how many times the client had to ask. *)
+    Campaign retries are safe {e because} submission is idempotent: a
+    job's id is a digest of its content ({!job_id}), so resubmitting
+    after a dropped connection, a truncated frame, or a typed ['X']
+    rejection can never run a job twice — the server answers from its
+    dedup table ([cached]/[inflight]) and the bytes of a campaign's
+    results are independent of how many times the client had to ask. *)
 
 val job_id : kind:string -> payload:string -> string
 (** The content-derived id the server will assign: [Digest] (as hex) of
     [kind], a NUL byte, and [payload].  Computable offline — equal
     content, equal id, which is the whole idempotency story. *)
-
-type campaign = {
-  results : string list;
-      (** one result per submitted spec, {e in spec order} — byte-equal
-          to what a local serverless run of the same specs prints *)
-  resubmits : int;
-      (** submit frames sent beyond the first per unique job *)
-  rejections : int;  (** typed ['X'] answers absorbed (backpressure) *)
-  reconnects : int;  (** connections re-established mid-campaign *)
-}
-
-val run_campaign :
-  ?backoff:Backoff.config ->
-  ?window:int ->
-  ?deadline:float ->
-  ?max_attempts:int ->
-  ?recv_timeout:float ->
-  socket:string ->
-  (string * string) list ->
-  campaign
-(** [run_campaign ~socket specs] submits every [(kind, payload)] spec
-    and blocks until all results are in.  Up to [window] (default 16)
-    jobs are kept in flight (pipelined on one connection).  A rejection
-    backs the job off on the seeded [backoff] schedule (default
-    {!Backoff.default} — deterministic delays, so two runs of the same
-    campaign against the same server behave the same); a connection
-    failure of any shape (EOF, reset, frame decode error, [recv_timeout]
-    seconds of silence — default 30) reconnects and resubmits every
-    unresolved job.  [deadline] (seconds) is forwarded with each submit
-    as the per-attempt job deadline.
-
-    @raise Failure if one job is rejected or one connect attempt fails
-    [max_attempts] (default 10_000) times in a row — the bound that
-    turns a dead or wedged server into an error instead of a hang. *)
 
 val health :
   ?recv_timeout:float ->
@@ -57,7 +23,7 @@ val health :
     [Error (`Unreachable reason)] is every way the socket can fail to
     answer — missing, refused, reset, EOF, or [recv_timeout] seconds of
     silence — a state callers branch on (the fleet marks the endpoint
-    down; [submit.exe --health] exits 2 naming the socket).
+    down; [dispatch.exe --health] exits 2 naming the socket).
     @raise Failure only on protocol corruption: a reachable server that
     answers with anything but ['H']. *)
 
@@ -71,9 +37,8 @@ val stats :
 
 exception Conn_lost of string
 (** One connection attempt or established connection failed — EOF,
-    reset, refused, decode error, receive timeout.  The campaign loop
-    absorbs these (reconnect + resubmit); {!Endpoint} surfaces them to
-    the fleet's failover logic. *)
+    reset, refused, decode error, receive timeout.  {!Endpoint} surfaces
+    them to the fleet's failover logic (reconnect + resubmit). *)
 
 (** A connected endpoint with its own frame decoder — the unit the
     {!Fleet} router multiplexes with [Unix.select].  All functions

@@ -356,8 +356,8 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
           try_connect e now)
       eps;
     if Array.for_all (fun e -> not (live e)) eps then begin
-      (* whole fleet dark: bound the wait like the single-server client
-         bounds its reconnect loop *)
+      (* whole fleet dark: bound the wait, so a dead fleet is an error
+         rather than a hang *)
       incr dead_rounds;
       if !dead_rounds > max_attempts then
         failwith

@@ -49,7 +49,7 @@ val verdict_to_string : verdict -> string
 type campaign = {
   results : string list;
       (** one result per submitted spec, {e in spec order} — byte-equal
-          to a serverless run and to {!Client.run_campaign} *)
+          to a serverless run *)
   verdict : verdict;
   failovers : int;  (** job reassignments off a dead/draining endpoint *)
   duplicates : int;
@@ -84,8 +84,12 @@ val run_campaign :
     blocks until all results are in.  [window] (default 16) bounds the
     jobs in flight {e per endpoint}; [shard_seed] (default 0) seeds the
     home-shard hash; [probe_interval] (default 0.25 s) paces depth
-    probes; [backoff], [deadline], [max_attempts], [recv_timeout] as in
-    {!Client.run_campaign}.
+    probes.  [backoff] (default {!Backoff.default}) gives the seeded
+    delays for rejected jobs and open breakers, so two runs of the same
+    campaign behave the same; [deadline] (seconds) is forwarded with
+    each submit as the per-attempt job deadline; [recv_timeout]
+    (default 30 s) of silence counts as a lost connection;
+    [max_attempts] defaults to 10_000.
 
     Emits [fleet_start] / [endpoint_state] / [failover] / [rebalance] /
     [fleet_verdict] trace events when tracing is on.

@@ -1,5 +1,5 @@
 (** Crash-tolerant, checkpointed — and optionally parallel — sweep
-    runner for the [bin/sweep_thm*] binaries.
+    runner for the [bin/sweep.exe] subcommands.
 
     A sweep is an ordered list of {e cells}, each with a unique key and
     a thunk producing its (possibly multi-line) result string.  With a

@@ -17,7 +17,11 @@ let test_pinned_keys () =
   let c2 = Jobs_catalog.thm2_cell ~bulk:false ~side:9 ~wrap:"torus" ~algo:"greedy" () in
   check_string "thm2 key" "wrap=torus side=9 algo=greedy" c2.Harness.Sweep.key;
   let c3 = Jobs_catalog.thm3_cell ~bulk:false ~k:3 ~gadgets:4 ~algo:"greedy" () in
-  check_string "thm3 key" "k=3 gadgets=4 algo=greedy" c3.Harness.Sweep.key
+  check_string "thm3 key" "k=3 gadgets=4 algo=greedy" c3.Harness.Sweep.key;
+  let c4 = Jobs_catalog.thm4_cell ~host:"grid" ~size:24 ~seeds:2 in
+  check_string "thm4 key" "host=grid size=24 seeds=2" c4.Harness.Sweep.key;
+  let c5 = Jobs_catalog.thm5_cell ~k:3 ~base_side:6 ~t:8 in
+  check_string "thm5 key" "k=3 base-side=6 t=8" c5.Harness.Sweep.key
 
 (* A job whose payload is a sweep cell's key produces the cell's exact
    result string — for every kind, through the public handler. *)
@@ -34,6 +38,9 @@ let test_catalog_matches_sweep_cells () =
       ( "thm2",
         Jobs_catalog.thm2_cell ~bulk:false ~side:7 ~wrap:"cylinder" ~algo:"greedy" () );
       ("thm3", Jobs_catalog.thm3_cell ~bulk:false ~k:3 ~gadgets:4 ~algo:"gadget-rows" ());
+      ("thm4", Jobs_catalog.thm4_cell ~host:"tri" ~size:6 ~seeds:2);
+      ("thm4", Jobs_catalog.thm4_cell ~host:"ktree" ~size:40 ~seeds:1);
+      ("thm5", Jobs_catalog.thm5_cell ~k:2 ~base_side:6 ~t:4);
     ]
   in
   List.iter
@@ -92,12 +99,30 @@ let test_bad_inputs_raise () =
   check_bool "unknown algo" true
     (raises (fun () ->
          Jobs_catalog.handler ~kind:"thm1" ~payload:"t=1 k=5 side=60 algo=zeta"));
-  check_bool "kinds listed" true (List.mem "thm1" Jobs_catalog.kinds)
+  (* Non-canonical spellings scan as the canonical cell's fields; they
+     must not run it under a second job id. *)
+  List.iter
+    (fun (kind, payload) ->
+      check_bool ("non-canonical " ^ kind ^ " " ^ payload) true
+        (raises (fun () -> Jobs_catalog.handler ~kind ~payload)))
+    [
+      ("thm1", "t=1 k=9 side=400 algo=ael junk");
+      ("thm1", "t=1k=9side=400algo=ael");
+      ("thm1", "t=1  k=9 side=400 algo=ael");
+      ("fuzz", "target=wire-codec seed=042 cases=50");
+      ("thm4", "host=grid size=+6 seeds=2");
+      ("thm4", "host=moon size=6 seeds=2");
+    ];
+  List.iter
+    (fun kind -> check_bool ("kinds lists " ^ kind) true (List.mem kind Jobs_catalog.kinds))
+    [ "thm1"; "thm2"; "thm3"; "thm4"; "thm5"; "fuzz" ]
 
 (* Exact result bytes, as MD5 digests, for a fixed set of cells.  The
    digests were recorded before the executors' adjacency storage was
-   rewritten; any change to neighbor order, host construction or report
-   formatting that moves a single byte shows up here.  The side-3 and
+   rewritten (thm4/thm5: from the sweep output before their cells moved
+   into the catalog); any change to neighbor order,
+   host construction or report formatting that moves a single byte
+   shows up here.  The side-3 and
    side-5 thm2 cells (band row 3T+2 past the last host row) are pinned
    as the adversary plays them with the prefix clipped to the host. *)
 let cell_digests =
@@ -123,11 +148,19 @@ let cell_digests =
     ("thm2", "wrap=cylinder side=31 algo=ael(T=1)", "87f1c6a4109fa4f6d466f49dd1c9d2d0");
     ("thm3", "k=3 gadgets=8 algo=greedy", "30f33f87dfaaf29076e19201e022e16f");
     ("thm3", "k=3 gadgets=8 algo=gadget-rows", "d6d7adb47bb89409610b54adaae16688");
+    ("thm4", "host=grid size=6 seeds=2", "269dcba6a8ab5f3f5353c170d5673d25");
+    ("thm4", "host=grid size=8 seeds=2", "710ca371b7c0ee0c63f506f669dd67a9");
+    ("thm4", "host=tri size=6 seeds=2", "63db41eff2f489111be907be71f29fd5");
+    ("thm4", "host=ktree size=40 seeds=2", "d8ad86c0a43a03339575e327820e4aa0");
+    ("thm5", "k=2 base-side=6 t=4", "2187c8b068b0ffe2e1be9552ae23c925");
+    ("thm5", "k=2 base-side=6 t=8", "4348c54e667f3c53da6858055efaba52");
+    ("thm5", "k=3 base-side=6 t=4", "68ef659617eba8dc75a4b2106e67588d");
+    ("thm5", "k=3 base-side=6 t=8", "27b2615e9a8a5baf64b125ac5df43e03");
   ]
 
 let test_cell_digests () =
   (* An algorithm failure's report says "[backtrace recorded]" when
-     backtraces are on; the digests are of the sweep binaries' default. *)
+     backtraces are on; the digests are of the sweeps' default. *)
   let recording = Printexc.backtrace_status () in
   Printexc.record_backtrace false;
   Fun.protect

@@ -168,18 +168,6 @@ let test_identity_under_chaos () =
         [ 7; 23 ])
     [ 1; 2; 3 ]
 
-(* Single-endpoint fleet and single-server client: same bytes. *)
-let test_single_endpoint_matches_client () =
-  with_fleet ~n:1 ~config:(fast_config 2 `In_domain) @@ fun sockets _pids ->
-  let f = campaign ~endpoints:sockets mixed_specs in
-  let c =
-    Client.run_campaign ~backoff:fast_backoff
-      ~socket:(List.hd sockets) mixed_specs
-  in
-  List.iter2
-    (fun a b -> check_string "fleet equals client" a b)
-    c.Client.results f.Fleet.results
-
 (* ------------------------------ failover ----------------------------- *)
 
 (* SIGKILL one of three servers mid-campaign: its jobs fail over, the
@@ -295,8 +283,6 @@ let () =
         [
           Alcotest.test_case "shard x jobs matrix" `Quick test_identity_matrix;
           Alcotest.test_case "chaos matrix" `Quick test_identity_under_chaos;
-          Alcotest.test_case "single endpoint equals client" `Quick
-            test_single_endpoint_matches_client;
         ] );
       ( "failover",
         [

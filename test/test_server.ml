@@ -2,7 +2,8 @@
 
    Every test forks the server into a child process (so SIGTERM drains
    and crash-recovery restarts are the real thing, not simulations) and
-   drives it with the real client over a Unix-domain socket.  The
+   drives it with the real campaign client, a one-endpoint
+   Harness.Fleet, over a Unix-domain socket.  The
    anchor assertion throughout: campaign results are byte-identical to
    a local map of the handler over the same specs — whatever the
    server's jobs count, isolation mode, chaos setting, or how many
@@ -10,6 +11,7 @@
 
 module Server = Harness.Server
 module Client = Harness.Client
+module Fleet = Harness.Fleet
 module Backoff = Harness.Backoff
 
 let check_bool = Alcotest.(check bool)
@@ -66,8 +68,8 @@ let with_server ?journal ?resume ~config f =
       try Sys.remove socket with Sys_error _ -> ())
     (fun () -> f ~socket ~pid)
 
-let campaign ?(window = 16) ?max_attempts ~socket specs =
-  Client.run_campaign ~backoff:fast_backoff ~window ?max_attempts ~socket specs
+let campaign ?(window = 16) ~socket specs =
+  Fleet.run_campaign ~backoff:fast_backoff ~window ~endpoints:[ socket ] specs
 
 let mixed_specs =
   [
@@ -92,11 +94,11 @@ let fast_config jobs isolation =
 let test_basic_roundtrip () =
   with_server ~config:(fast_config 2 `Process) @@ fun ~socket ~pid:_ ->
   let c = campaign ~socket mixed_specs in
-  check_int "all results" (List.length mixed_specs) (List.length c.Client.results);
+  check_int "all results" (List.length mixed_specs) (List.length c.Fleet.results);
   List.iteri
     (fun i (spec, got) ->
       check_string (Printf.sprintf "result %d" i) (expected spec) got)
-    (List.combine mixed_specs c.Client.results)
+    (List.combine mixed_specs c.Fleet.results)
 
 let test_results_jobs_isolation_invariant () =
   let baseline = List.map expected mixed_specs in
@@ -107,7 +109,7 @@ let test_results_jobs_isolation_invariant () =
       List.iteri
         (fun i (want, got) ->
           check_string (Printf.sprintf "%s result %d" label i) want got)
-        (List.combine baseline c.Client.results))
+        (List.combine baseline c.Fleet.results))
     [
       (1, `Process, "proc/1");
       (4, `Process, "proc/4");
@@ -120,7 +122,7 @@ let test_dedup_duplicate_specs () =
   (* the same spec three times: one job server-side, three results *)
   let specs = [ ("rev", "same"); ("rev", "same"); ("rev", "same") ] in
   let c = campaign ~socket specs in
-  List.iter (fun got -> check_string "deduped result" "emas" got) c.Client.results;
+  List.iter (fun got -> check_string "deduped result" "emas" got) c.Fleet.results;
   let stats =
     match Client.stats ~socket () with
     | Ok json -> json
@@ -180,9 +182,9 @@ let test_bounded_queue_rejects_and_recovers () =
   List.iteri
     (fun i (spec, got) ->
       check_string (Printf.sprintf "result %d" i) (expected spec) got)
-    (List.combine specs c.Client.results);
+    (List.combine specs c.Fleet.results);
   check_bool "the bounded queue rejected at least one submit" true
-    (c.Client.rejections > 0)
+    (c.Fleet.rejections > 0)
 
 (* ------------------------ drain and recovery ------------------------- *)
 
@@ -262,7 +264,7 @@ let drain_recovery_scenario ~jobs ~isolation () =
                    (match isolation with `Process -> "proc" | `In_domain -> "domain")
                    jobs i)
                 want got)
-            (List.combine baseline c.Client.results)))
+            (List.combine baseline c.Fleet.results)))
 
 let test_drain_recovery_proc_1 = drain_recovery_scenario ~jobs:1 ~isolation:`Process
 let test_drain_recovery_proc_4 = drain_recovery_scenario ~jobs:4 ~isolation:`Process
@@ -284,19 +286,19 @@ let test_journal_replay_serves_cached () =
     (fun () ->
       (with_server ~journal ~resume:false ~config @@ fun ~socket ~pid:_ ->
        let c1 = campaign ~socket specs in
-       check_int "first pass results" 2 (List.length c1.Client.results);
+       check_int "first pass results" 2 (List.length c1.Fleet.results);
        (* second campaign on the same server: all cached *)
        let c2 = campaign ~socket specs in
        List.iter2
          (fun a b -> check_string "cached equals fresh" a b)
-         c1.Client.results c2.Client.results);
+         c1.Fleet.results c2.Fleet.results);
       (* a FRESH server process on the same journal serves from it *)
       with_server ~journal ~resume:true ~config @@ fun ~socket ~pid:_ ->
       let c3 = campaign ~socket specs in
       List.iteri
         (fun i (spec, got) ->
           check_string (Printf.sprintf "replayed result %d" i) (expected spec) got)
-        (List.combine specs c3.Client.results))
+        (List.combine specs c3.Fleet.results))
 
 (* ------------------------------ chaos -------------------------------- *)
 
@@ -321,7 +323,7 @@ let chaos_scenario ~seed () =
   List.iteri
     (fun i (want, got) ->
       check_string (Printf.sprintf "chaos seed=%d result %d" seed i) want got)
-    (List.combine baseline c.Client.results)
+    (List.combine baseline c.Fleet.results)
 
 let test_chaos_seed_7 = chaos_scenario ~seed:7
 let test_chaos_seed_23 = chaos_scenario ~seed:23
