@@ -1,7 +1,7 @@
 (* Regenerate every experiment table (EXPERIMENTS.md).
 
    dune exec bin/repro.exe            -- full tables
-   dune exec bin/repro.exe -- --quick -- bench-sized tables
+   dune exec bin/repro.exe -- --quick -- smoke-test-sized tables
    dune exec bin/repro.exe -- --jobs 4   -- render drivers on 4 domains
                                          (output is byte-identical) *)
 
@@ -16,7 +16,7 @@ let run quick exec trace stats flight =
 open Cmdliner
 
 let quick =
-  Arg.(value & flag & info [ "quick" ] ~doc:"Shrink parameter ranges to bench sizes.")
+  Arg.(value & flag & info [ "quick" ] ~doc:"Shrink parameter ranges to smoke-test sizes.")
 
 let cmd =
   Cmd.v

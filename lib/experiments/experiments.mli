@@ -4,7 +4,7 @@
     "experiment" regenerates the {e shape} of one theorem: who wins
     (adversary or algorithm), at which locality threshold, and how the
     threshold scales with [n].  Every driver prints a self-contained
-    table; [~quick:true] shrinks the parameter ranges to bench-friendly
+    table; [~quick:true] shrinks the parameter ranges to smoke-test
     sizes (the defaults match EXPERIMENTS.md). *)
 
 module Fit : module type of Fit

@@ -1,5 +1,6 @@
 (** A minimal JSON tree with a {e canonical} printer, sufficient for the
-    NDJSON trace format and the bench records — no external dependency.
+    NDJSON trace format, the stats snapshots and the benchmark's records —
+    no external dependency.
 
     Canonical means: no whitespace, object fields in the order given,
     strings escaped with the shortest standard escape, and floats

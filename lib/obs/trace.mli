@@ -19,10 +19,11 @@
     disabled trace allocates nothing.
 
     With a sink installed, each record is written straight into a
-    buffer, field by field, with no intermediate {!Json.t} tree.  The E9
-    bench ([dune exec bench/main.exe -- --trace-overhead], which writes
-    BENCH_trace_overhead.json) times the guarded thm1 game both ways:
-    disabled ~0%, traced to [/dev/null] ~35% (2 vCPUs).
+    buffer, field by field, with no intermediate {!Json.t} tree.  On
+    the guarded thm1 game, measured at commit 5e84b1e (2 vCPUs): disabled
+    ~0%, traced to [/dev/null] ~33%.  The [sweep-traced] workload of the
+    campaign benchmark ([perfbench/README.md]) measures tracing end to
+    end.
 
     {2 Concurrency}
 

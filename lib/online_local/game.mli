@@ -66,8 +66,10 @@ type t = {
           memo-off (asserted over the same fault matrix).
           A game of [k] steps costs O(sum of per-step frontier sizes)
           in the executor plus the algorithm's own work — see
-          [lib/online_local/README.md] for the per-step cost model and
-          [BENCH_game_steps.json] for measured rates.
+          [lib/online_local/README.md] for the per-step cost model;
+          [test/test_game.ml] pins the minor words per game of six
+          configs, and the campaign benchmark ([perfbench/]) times
+          whole campaigns.
           [?limits] defaults to {!Harness.Guard.default_limits}. *)
 }
 

@@ -172,6 +172,66 @@ let test_cell_digests () =
             (Digest.to_hex (Digest.string (Jobs_catalog.handler ~kind ~payload))))
         cell_digests)
 
+(* The thm1 game cache on a dense t-axis grid: thm1 t=1..12 k=12
+   side=16000 algo=greedy,stripes validate=true, 24 cells.  greedy and
+   stripes ignore t, so a cold cache runs each algorithm live once and
+   replays the other eleven cells: exactly 22 hits and 2 misses, counted
+   from the [Canon_hit {kind="game"}] events of an untimed cold pass.
+   Memo-on output, cold and warm, must be byte-identical to memo-off,
+   and the cold pass must run at least 1.5x faster than the best of two
+   memo-off passes in the same process.  The memo tables are
+   per-domain, so every memo-on pass starts on a freshly spawned
+   domain. *)
+let memo_grid_cells ~memo () =
+  List.concat_map
+    (fun t ->
+      List.map
+        (fun algo ->
+          Jobs_catalog.thm1_cell ~memo ~bulk:false ~validate:true ~t ~k:12
+            ~side:16_000 ~algo ())
+        [ "greedy"; "stripes" ])
+    (List.init 12 (fun i -> i + 1))
+
+let render_memo_grid ~memo () =
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  let t0 = Unix.gettimeofday () in
+  Harness.Sweep.run ~jobs:1 ~ppf (memo_grid_cells ~memo ());
+  (Unix.gettimeofday () -. t0, Buffer.contents buf)
+
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+let test_memo_grid () =
+  let off_t1, off_out = render_memo_grid ~memo:false () in
+  let off_t2, _ = render_memo_grid ~memo:false () in
+  let (cold_t, cold_out), (_, warm_out) =
+    on_fresh_domain (fun () ->
+        let cold = render_memo_grid ~memo:true () in
+        (cold, render_memo_grid ~memo:true ()))
+  in
+  check_string "memo-on cold = memo-off" off_out cold_out;
+  check_string "memo-on warm = memo-off" off_out warm_out;
+  let hits = Atomic.make 0 in
+  Obs.Trace.set_hook
+    (Some
+       (function
+       | Obs.Trace.Canon_hit { kind = "game"; _ } -> Atomic.incr hits
+       | _ -> ()));
+  Fun.protect
+    ~finally:(fun () -> Obs.Trace.set_hook None)
+    (fun () ->
+      on_fresh_domain (fun () -> ignore (render_memo_grid ~memo:true ())));
+  let cells = List.length (memo_grid_cells ~memo:true ()) in
+  let hits = Atomic.get hits in
+  Alcotest.(check int) "cold game-cache hits" 22 hits;
+  Alcotest.(check int) "cold game-cache misses" 2 (cells - hits);
+  let off_t = Float.min off_t1 off_t2 in
+  let speedup = off_t /. cold_t in
+  Printf.printf "memo-off best of 2: %.3f s, memo-on cold: %.3f s (%.2fx)\n"
+    off_t cold_t speedup;
+  if speedup < 1.5 then
+    Alcotest.failf "cold memo speedup %.2fx is below 1.5x" speedup
+
 let () =
   Alcotest.run "catalog"
     [
@@ -187,5 +247,10 @@ let () =
           Alcotest.test_case "fuzz payload" `Quick test_fuzz_payload;
           Alcotest.test_case "bad inputs raise" `Quick test_bad_inputs_raise;
           Alcotest.test_case "cell digests" `Quick test_cell_digests;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "game cache 22/2, identity, speedup" `Quick
+            test_memo_grid;
         ] );
     ]

@@ -260,6 +260,41 @@ let test_home_shard_deterministic () =
   in
   check_bool "seeds differ" true (place 1 <> place 2)
 
+(* Sharding must not collapse throughput: 200 trivial rev jobs through
+   one server and through three (2 workers each), round-robin over
+   [passes] with fresh payloads per pass so no campaign is answered from
+   a server's finished-job cache.  The best 3-shard jobs/s must reach
+   0.4x the best 1-shard jobs/s of the same run.  A single campaign
+   takes a few milliseconds, so one pass alone swings by several x on a
+   loaded box; the best of five does not. *)
+let test_sharding_throughput () =
+  let config = { (fast_config 2 `In_domain) with Server.queue_limit = 256 } in
+  with_fleet ~n:3 ~config @@ fun sockets _pids ->
+  let rate endpoints pass =
+    let specs =
+      List.init 200 (fun i ->
+          ("rev", Printf.sprintf "shards-%d-pass-%d-%06d" (List.length endpoints)
+             pass i))
+    in
+    let t0 = Unix.gettimeofday () in
+    let c = campaign ~window:32 ~endpoints specs in
+    let dt = Unix.gettimeofday () -. t0 in
+    check_results (Printf.sprintf "%d shards" (List.length endpoints)) specs c;
+    200. /. dt
+  in
+  let passes = 5 in
+  let best1 = ref 0. and best3 = ref 0. in
+  for pass = 1 to passes do
+    best1 := Float.max !best1 (rate [ List.hd sockets ] pass);
+    best3 := Float.max !best3 (rate sockets pass)
+  done;
+  let ratio = !best3 /. !best1 in
+  Printf.printf "best of %d: 1 shard %.0f jobs/s, 3 shards %.0f jobs/s (%.2fx)\n"
+    passes !best1 !best3 ratio;
+  if ratio < 0.4 then
+    Alcotest.failf "3-shard throughput %.0f jobs/s is below 0.4x 1-shard (%.0f)"
+      !best3 !best1
+
 (* ------------------------------ validation --------------------------- *)
 
 let test_invalid_args () =
@@ -298,6 +333,8 @@ let () =
         [
           Alcotest.test_case "home shard deterministic" `Quick
             test_home_shard_deterministic;
+          Alcotest.test_case "3 shards >= 0.4x 1 shard jobs/s" `Quick
+            test_sharding_throughput;
         ] );
       ( "validation",
         [ Alcotest.test_case "invalid arguments" `Quick test_invalid_args ] );

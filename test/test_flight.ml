@@ -210,6 +210,58 @@ let test_read_rejects_corruption () =
     | { T.ev = T.Trace_header { program; _ }; _ } :: _ -> program
     | _ -> "?")
 
+(* The cost of an armed recorder on its campaign subject, the guarded
+   thm1 game (k=6, side 400, greedy).  Two gates: minor words per game
+   with the ring armed, pinned exactly (OCaml 5.1.1, no flambda; the
+   bare game allocates 91,784 words, so the ring's pin allows +4,654),
+   and a round-robin, best-of-passes wall-clock ratio of armed over bare
+   within one run.  The ratio bound is loose because the recorder
+   itself costs 3-15% in time on a shared 2-core box; the word pin is
+   the sharp gate. *)
+let guarded_thm1 () =
+  let guard = Harness.Guard.create ~limits:Harness.Guard.default_limits () in
+  let algorithm = Harness.Guard.algorithm guard (Online_local.Portfolio.greedy ()) in
+  ignore (Online_local.Thm1_adversary.run ~n_side:400 ~k:6 ~algorithm ())
+
+let armed f = F.with_sink ~program:"test" ~path:"/dev/null" f
+
+let flight_words_pin = 96_438
+let flight_time_bound = 1.35
+
+let test_overhead_gates () =
+  let words f =
+    f ();
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let bare = words guarded_thm1 in
+  let flight = armed (fun () -> words guarded_thm1) in
+  Printf.printf "minor words per game: bare %.0f, flight %.0f (%+.1f%%)\n" bare
+    flight (100. *. (flight -. bare) /. bare);
+  if flight > float_of_int flight_words_pin then
+    Alcotest.failf "flight-armed game allocates %.0f minor words, pinned <= %d"
+      flight flight_words_pin;
+  let inner = 20 and passes = 8 in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to inner do
+      f ()
+    done;
+    (Unix.gettimeofday () -. t0) /. float_of_int inner
+  in
+  let best_bare = ref infinity and best_flight = ref infinity in
+  for _ = 1 to passes do
+    best_bare := Float.min !best_bare (timed guarded_thm1);
+    best_flight := Float.min !best_flight (armed (fun () -> timed guarded_thm1))
+  done;
+  let ratio = !best_flight /. !best_bare in
+  Printf.printf "best of %d x %d games: bare %.6f s, flight %.6f s (%.3fx)\n"
+    passes inner !best_bare !best_flight ratio;
+  if ratio > flight_time_bound then
+    Alcotest.failf "flight recorder costs %.3fx the bare game (bound %.2fx)"
+      ratio flight_time_bound
+
 let () =
   Alcotest.run "flight"
     [
@@ -231,4 +283,9 @@ let () =
         ] );
       ( "sniff",
         [ Alcotest.test_case "is_flight_file" `Quick test_is_flight_file ] );
+      ( "overhead",
+        [
+          Alcotest.test_case "armed words pinned, time ratio" `Quick
+            test_overhead_gates;
+        ] );
     ]

@@ -118,6 +118,62 @@ let test_memo_matches_memo_off () =
       (Game.upper_grid, 6);
     ]
 
+(* Allocation per step, pinned.  Each config plays one warm-up game on
+   the [~bulk:true] executor path against greedy, then one measured
+   game: the presented step count must equal the pin, and the game's
+   minor-heap words ([Gc.minor_words] of this domain; blocks larger than
+   256 words go straight to the major heap and are not counted) must not
+   exceed it.  Both are exact for a given compiler and independent of
+   the hardware, so a regression that allocates on the per-step path
+   fails here on any machine; a pure-CPU slowdown that allocates nothing
+   does not, and is left to the campaign benchmark (perfbench/).  Pinned
+   under OCaml 5.1.1 without flambda: (config, steps, words). *)
+let alloc_pins =
+  let greedy = Portfolio.greedy in
+  [
+    ( "thm3 k=3 gadgets=32", 288, 147_359,
+      fun () ->
+        (Thm3_adversary.run ~bulk:true ~k:3 ~gadgets:32 ~algorithm:(greedy ()) ())
+          .Thm3_adversary.presented );
+    ( "thm3 k=3 gadgets=128", 1152, 570_935,
+      fun () ->
+        (Thm3_adversary.run ~bulk:true ~k:3 ~gadgets:128 ~algorithm:(greedy ()) ())
+          .Thm3_adversary.presented );
+    ( "thm2 torus side=25", 625, 173_829,
+      fun () ->
+        (Thm2_adversary.run ~bulk:true ~wrap:`Toroidal ~side:25
+           ~algorithm:(greedy ()) ())
+          .Thm2_adversary.presented );
+    ( "thm2 torus side=51", 2601, 686_257,
+      fun () ->
+        (Thm2_adversary.run ~bulk:true ~wrap:`Toroidal ~side:51
+           ~algorithm:(greedy ()) ())
+          .Thm2_adversary.presented );
+    ( "thm1 k=6 side=400", 328, 86_163,
+      fun () ->
+        (Thm1_adversary.run ~bulk:true ~n_side:400 ~k:6 ~algorithm:(greedy ()) ())
+          .Thm1_adversary.presented );
+    ( "thm1 k=9 side=2000", 668, 177_314,
+      fun () ->
+        (Thm1_adversary.run ~bulk:true ~n_side:2000 ~k:9 ~algorithm:(greedy ()) ())
+          .Thm1_adversary.presented );
+  ]
+
+let test_alloc_per_step_pinned () =
+  List.iter
+    (fun (name, steps, words, play) ->
+      ignore (play ());
+      let w0 = Gc.minor_words () in
+      let presented = play () in
+      let used = Gc.minor_words () -. w0 in
+      Printf.printf "%s: %d steps, %.0f minor words (%.1f per step)\n" name
+        presented used (used /. float_of_int presented);
+      check_int (name ^ ": presented steps") steps presented;
+      if used > float_of_int words then
+        Alcotest.failf "%s: %.0f minor words per game, pinned <= %d (+%.0f)"
+          name used words (used -. float_of_int words))
+    alloc_pins
+
 let () =
   Alcotest.run "game"
     [
@@ -137,5 +193,10 @@ let () =
           Alcotest.test_case "verdict renders" `Quick test_verdict_renders;
           Alcotest.test_case "memo = memo-off, fault matrix" `Slow
             test_memo_matches_memo_off;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "allocation per step pinned" `Quick
+            test_alloc_per_step_pinned;
         ] );
     ]
